@@ -8,7 +8,7 @@
 //! writes them to `BENCH_serve.json`, giving the perf trajectory a data
 //! point per PR.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use rslpa_gen::edits::{localized_batch, targeted_batch, uniform_batch, EditWorkload};
@@ -17,9 +17,7 @@ use rslpa_gen::webgraph::{rmat, RmatParams};
 use rslpa_graph::rng::DetRng;
 use rslpa_graph::{AdjacencyGraph, Cover, DynamicGraph, EditBatch, StorageBackend, VertexId};
 use rslpa_serve::trace::Dump;
-use rslpa_serve::{
-    BySize, CommunityService, ExchangeMode, LatencySummary, ServeConfig, TraceOptions,
-};
+use rslpa_serve::{BySize, CommunityService, LatencySummary, ServeConfig, TraceOptions};
 
 use crate::host_cores;
 
@@ -72,11 +70,9 @@ pub struct ServeWorkload {
     pub flush_size: usize,
     /// Publish a snapshot every this many flushes.
     pub snapshot_every: usize,
-    /// Maintenance shards (1 = the single-writer baseline).
+    /// Maintenance shards (1 = the single-writer baseline, more = the
+    /// mailbox mesh).
     pub shards: usize,
-    /// Boundary-exchange transport for `shards > 1`: the peer-to-peer
-    /// mailbox mesh (default) or the coordinator-relayed baseline.
-    pub engine: ExchangeMode,
     /// Edit-stream bias: the paper's uniform rewiring, or churn that
     /// respects the planted communities (the realistic serving case,
     /// where partition locality exists to be exploited).
@@ -102,7 +98,6 @@ impl ServeWorkload {
             flush_size: 256,
             snapshot_every: 8,
             shards: 1,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 42,
         }
@@ -140,7 +135,6 @@ impl ServeWorkload {
             flush_size: 128,
             snapshot_every: 4,
             shards: 1,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 42,
         }
@@ -251,8 +245,7 @@ pub fn run_workload_traced(
     let mut config = ServeConfig::quick(w.iterations, w.seed)
         .with_policy(policy)
         .with_snapshot_every(w.snapshot_every)
-        .with_shards(w.shards)
-        .with_exchange(w.engine);
+        .with_shards(w.shards);
     if let Some(t) = trace {
         config = config.with_trace(t);
     }
@@ -275,6 +268,12 @@ pub fn run_workload_traced(
         stats: Default::default(),
     };
 
+    // The first window's baseline predates every query, and the writer
+    // starts only once every reader has answered its first query (the
+    // latch), so no reader can be starved past the last checkpoint and
+    // leave every window empty.
+    let mut window_prev = service.query_latency_snapshot();
+    let readers_ready = Barrier::new(w.query_threads + 1);
     std::thread::scope(|s| {
         // Readers: a 60/25/15 mix of membership / overlap / roster point
         // queries, answered lock-free from the newest epoch snapshot.
@@ -283,10 +282,14 @@ pub fn run_workload_traced(
         let mut readers = Vec::with_capacity(w.query_threads);
         for t in 0..w.query_threads {
             let service = Arc::clone(&service);
+            let readers_ready = &readers_ready;
             readers.push(s.spawn(move || {
                 let started = Instant::now();
                 let mut queries = service.query();
                 let mut rng = DetRng::new(w.seed ^ 0xdead_beef_u64.rotate_left(t as u32));
+                if per_thread == 0 {
+                    readers_ready.wait();
+                }
                 for i in 0..per_thread {
                     let u = rng.bounded(n as u64) as VertexId;
                     match i % 20 {
@@ -302,6 +305,9 @@ pub fn run_workload_traced(
                             let _ = queries.roster(c);
                         }
                     }
+                    if i == 0 {
+                        readers_ready.wait();
+                    }
                 }
                 started.elapsed().as_secs_f64()
             }));
@@ -313,9 +319,9 @@ pub fn run_workload_traced(
         let mut shadow = DynamicGraph::new(graph);
         let rounds = w.total_edits.div_ceil(w.round_edits);
         let barrier_every = (rounds / 10).max(1);
+        readers_ready.wait();
         let ingest_started = Instant::now();
         let mut submitted = 0usize;
-        let mut window_prev = service.query_latency_snapshot();
         for round in 0..rounds {
             let size = w.round_edits.min(w.total_edits - submitted);
             let batch = next_batch(
@@ -396,7 +402,7 @@ pub(crate) fn to_json_with_extra(w: &ServeWorkload, r: &ServeBenchResult, extra:
         "{{\n  \"experiment\": \"serve\",\n  \"mode\": \"{}\",\n  \
          \"config\": {{\"topology\": \"{}\", \"backend\": \"{}\", \"graph_n\": {}, \"iterations\": {}, \"total_edits\": {}, \
          \"queries_per_edit\": {}, \"query_threads\": {}, \"flush_size\": {}, \
-         \"snapshot_every\": {}, \"shards\": {}, \"engine\": \"{}\", \"churn\": \"{}\", \
+         \"snapshot_every\": {}, \"shards\": {}, \"churn\": \"{}\", \
          \"cores\": {}, \"seed\": {}}},\n  \
          \"startup_secs\": {:.4},\n  \"ingest_secs\": {:.4},\n  \
          \"edits_per_sec\": {:.1},\n  \"query_secs\": {:.4},\n  \
@@ -416,7 +422,6 @@ pub(crate) fn to_json_with_extra(w: &ServeWorkload, r: &ServeBenchResult, extra:
         w.flush_size,
         w.snapshot_every,
         w.shards,
-        w.engine,
         churn_label(w.churn),
         host_cores(),
         w.seed,
@@ -642,362 +647,146 @@ pub fn serve_sharded(out_path: &str) {
     eprintln!("[serve-sharded] wrote {out_path}");
 }
 
-/// Per-engine metrics of one `serve-p2p` cell.
-struct P2pRun {
-    engine: ExchangeMode,
-    result: ServeBenchResult,
-}
-
-impl P2pRun {
-    /// Mean worker-side (or coordinator-side) counter upkeep per flush.
-    /// Both engines amortize their *total* upkeep wall time over all
-    /// flushes (`batches_flushed`), so the ratio compares like with like
-    /// — `counters.mean_ns` alone would average only over the flushes
-    /// that recorded a central sample.
-    fn upkeep_per_flush_ns(&self) -> f64 {
-        let s = &self.result.stats;
-        let flushes = s.batches_flushed.max(1) as f64;
-        match self.engine {
-            // Central upkeep: one `counters` sample per non-empty flush;
-            // mean × count recovers the total.
-            ExchangeMode::Coordinator => (s.counters.mean_ns * s.counters.count) as f64 / flushes,
-            // Shard-owned upkeep: per-shard wall time summed, then
-            // amortized per flush (the per-shard passes run in parallel
-            // on a multi-core host; the sum is the 1-core equivalent).
-            ExchangeMode::Mailbox => {
-                s.shards.iter().map(|sh| sh.upkeep_ns).sum::<u64>() as f64 / flushes
-            }
-        }
-    }
-
-    /// Mean flush (repair + exchange coordination) + upkeep wall time.
-    fn exchange_upkeep_ns(&self) -> f64 {
-        self.result.stats.flushes.mean_ns as f64 + self.upkeep_per_flush_ns()
-    }
-
-    /// Channels traversed per boundary envelope — the 1-core acceptance
-    /// metric. Exactly 2.0 through the coordinator relay (worker →
-    /// coordinator → worker), exactly 1.0 over the mesh, so the per-round
-    /// channel work of boundary delivery halves regardless of round
-    /// composition.
-    fn hops_per_envelope(&self) -> f64 {
-        let s = &self.result.stats;
-        s.envelope_hops as f64 / s.boundary_msgs.max(1) as f64
-    }
-
-    fn to_json(&self) -> String {
-        let s = &self.result.stats;
-        format!(
-            "{{\"edits_per_sec\": {:.1}, \"flush_mean_ns\": {}, \"flush_p99_ns\": {}, \
-             \"upkeep_per_flush_ns\": {:.0}, \"exchange_upkeep_per_flush_ns\": {:.0}, \
-             \"snapshot_mean_ns\": {}, \"exchange_rounds\": {}, \"boundary_msgs\": {}, \
-             \"channel_hops\": {}, \"hops_per_envelope\": {:.2}, \"envelope_hops\": {}, \
-             \"mailbox_depth_p99\": {}, \"barrier_wait_p99_ns\": {}, \
-             \"boundary_hists_shipped\": {}, \"boundary_hists_total\": {}, \
-             \"boundary_dirty_marked\": {}}}",
-            self.result.edits_per_sec,
-            s.flushes.mean_ns,
-            s.flushes.p99_ns,
-            self.upkeep_per_flush_ns(),
-            self.exchange_upkeep_ns(),
-            s.snapshots.mean_ns,
-            s.exchange_rounds,
-            s.boundary_msgs,
-            s.channel_hops,
-            self.hops_per_envelope(),
-            s.envelope_hops,
-            s.mailbox_depth.p99_ns,
-            s.barrier_wait.p99_ns,
-            s.boundary_hists_shipped,
-            s.boundary_hists_total,
-            s.boundary_dirty_marked,
-        )
-    }
-}
-
-/// The coordinator-vs-mailbox sweep (`repro serve-p2p`): the full
-/// 100k-edit workload at 4 shards, under uniform, consolidating, and
-/// localized churn, publishing per flush and per 8 flushes — each cell
-/// run on both engines. Every cell asserts the two engines land on the
-/// same final roster *and* weight fingerprint (decentralizing the repair
-/// plane must not move a bit), then reports the per-flush
-/// exchange+upkeep wall time and the channel-hop economy (the 1-core
-/// proxy: the mesh delivers each envelope over one channel and never
-/// round-trips the coordinator per round). The localized cell
-/// additionally pins the dirty-diff collect payoff: hot-spot churn
-/// published per flush at a small flush quantum must ship at least 10x
-/// fewer boundary histograms than the full collect
-/// (`boundary_hists_total`) it replaces. `smoke` runs the CI-scale
-/// localized sweep across shard counts instead (`serve_p2p_smoke`).
-pub fn serve_p2p(smoke: bool, out_path: &str) {
-    if smoke {
-        serve_p2p_smoke(out_path);
-        return;
-    }
-    let full = ServeWorkload {
-        mode: "p2p",
-        ..ServeWorkload::full_sharded(4)
-    };
-    let cells: [ServeWorkload; 5] = [
-        ServeWorkload {
-            snapshot_every: 1,
-            ..full
-        },
-        ServeWorkload {
-            snapshot_every: 8,
-            ..full
-        },
-        ServeWorkload {
-            churn: EditWorkload::Consolidating,
-            snapshot_every: 1,
-            ..full
-        },
-        ServeWorkload {
-            churn: EditWorkload::Consolidating,
-            snapshot_every: 8,
-            ..full
-        },
-        // The read-heavy hot-spot cell: a few edits per publish, confined
-        // to a window of ~n/20 vertices. This is the regime the dirty-diff
-        // collect exists for — the repair cascade's per-publish footprint
-        // stays far below the boundary set, so the incremental ship beats
-        // re-collecting every boundary histogram by >=10x. (At 2048
-        // edits/publish the cascade union covers most of the graph and the
-        // diff degenerates toward a full ship — the uniform cells above
-        // record that regime.)
-        ServeWorkload {
-            churn: EditWorkload::Localized,
-            total_edits: 10_000,
-            round_edits: 200,
-            flush_size: 8,
-            snapshot_every: 1,
-            ..full
-        },
-    ];
-    let mut t = Table::new(
-        "serve p2p: coordinator vs mailbox mesh (4 shards, 100k edits)".to_string(),
-        &[
-            "churn/cadence",
-            "engine",
-            "edits/sec",
-            "flush+upkeep (us)",
-            "hops/envelope",
-            "envelope hops",
-            "barrier p99 (us)",
-        ],
-    );
-    let mut cell_json = Vec::new();
-    for cell in &cells {
-        let (churn, snapshot_every) = (cell.churn, cell.snapshot_every);
-        let mut runs = Vec::new();
-        for engine in [ExchangeMode::Coordinator, ExchangeMode::Mailbox] {
-            let w = ServeWorkload { engine, ..*cell };
-            eprintln!(
-                "[serve-p2p] engine={} churn={} snapshot_every={} ({} edits, flush {})",
-                engine,
-                churn_label(churn),
-                snapshot_every,
-                w.total_edits,
-                w.flush_size,
-            );
-            let result = run_workload(&w);
-            runs.push(P2pRun { engine, result });
-        }
-        for run in &runs {
-            t.row(vec![
-                format!("{} (x{})", churn_label(churn), snapshot_every),
-                run.engine.to_string(),
-                format!("{:.0}", run.result.edits_per_sec),
-                format!("{:.1}", run.exchange_upkeep_ns() / 1e3),
-                format!("{:.2}", run.hops_per_envelope()),
-                run.result.stats.envelope_hops.to_string(),
-                format!("{:.1}", run.result.stats.barrier_wait.p99_ns as f64 / 1e3),
-            ]);
-        }
-        let (coord, mesh) = (&runs[0], &runs[1]);
-        assert_eq!(
-            coord.result.final_cover,
-            mesh.result.final_cover,
-            "engines diverged on the final roster ({} x{})",
-            churn_label(churn),
-            snapshot_every,
-        );
-        assert_eq!(
-            coord.result.final_weights_fingerprint,
-            mesh.result.final_weights_fingerprint,
-            "engines diverged on final weights ({} x{})",
-            churn_label(churn),
-            snapshot_every,
-        );
-        let s = &mesh.result.stats;
-        assert!(
-            s.boundary_hists_shipped <= s.boundary_dirty_marked,
-            "dirty-diff collect shipped more boundary hists ({}) than vertices \
-             were dirty-marked ({}) — the ship rule is broken",
-            s.boundary_hists_shipped,
-            s.boundary_dirty_marked,
-        );
-        if churn == EditWorkload::Localized {
-            assert!(
-                s.boundary_hists_shipped * 10 <= s.boundary_hists_total,
-                "localized churn should ship >=10x fewer boundary hists than a \
-                 full collect would ({} shipped of {} boundary slots)",
-                s.boundary_hists_shipped,
-                s.boundary_hists_total,
-            );
-        }
-        let wall_ratio = coord.exchange_upkeep_ns() / mesh.exchange_upkeep_ns().max(1.0);
-        let hops_ratio = coord.result.stats.envelope_hops as f64
-            / (mesh.result.stats.envelope_hops as f64).max(1.0);
-        cell_json.push(format!(
-            "{{\n    \"churn\": \"{}\",\n    \"snapshot_every\": {},\n    \
-             \"total_edits\": {},\n    \"flush_size\": {},\n    \
-             \"coordinator\": {},\n    \"mailbox\": {},\n    \
-             \"exchange_upkeep_wall_ratio\": {:.3},\n    \
-             \"envelope_hops_ratio\": {:.3},\n    \
-             \"rosters_and_weights_match\": true\n  }}",
-            churn_label(churn),
-            snapshot_every,
-            cell.total_edits,
-            cell.flush_size,
-            coord.to_json(),
-            mesh.to_json(),
-            wall_ratio,
-            hops_ratio,
-        ));
-    }
-    t.print();
-    let json = format!(
-        "{{\n  \"experiment\": \"serve-p2p\",\n  \"config\": {{\"graph_n\": {}, \
-         \"iterations\": {}, \"total_edits\": {}, \"flush_size\": {}, \"shards\": 4, \
-         \"cores\": {}, \"seed\": {}}},\n  \"cells\": [{}]\n}}\n",
-        ServeWorkload::full().graph_n,
-        ServeWorkload::full().iterations,
-        ServeWorkload::full().total_edits,
-        ServeWorkload::full().flush_size,
-        host_cores(),
-        ServeWorkload::full().seed,
-        cell_json.join(", "),
-    );
-    std::fs::write(out_path, &json).expect("write BENCH_serve.json");
-    eprintln!("[serve-p2p] wrote {out_path}");
-}
-
-/// CI-scale `serve-p2p --smoke`: localized hot-spot churn at 1/4/8
-/// shards, each cell run on both engines. Gates three invariants cheaply
-/// enough for every CI run:
+/// The localized-churn sweep (`repro serve-localized`): hot-spot churn
+/// confined to a window of ~n/20 vertices, published at a small flush
+/// quantum, at several shard counts. This is the regime the dirty-diff
+/// publish collect exists for — the repair cascade's per-publish
+/// footprint stays far below the boundary set. Gates, per run:
 ///
-/// 1. per-cell bit-identity — both engines land on the same final roster
-///    *and* weight fingerprint;
-/// 2. cross-shard bit-identity — every shard count lands on the roster
-///    and fingerprint of the 1-shard run;
-/// 3. the dirty-diff collect ship rule — a publish never ships more
-///    boundary histograms than vertices were dirty-marked
-///    (`boundary_hists_shipped <= boundary_dirty_marked`), so the
-///    incremental collect cannot silently degrade to full reshipping.
-fn serve_p2p_smoke(out_path: &str) {
+/// 1. cross-shard bit-identity — every shard count lands on the final
+///    roster and weight fingerprint of the first (1-shard) run;
+/// 2. the dirty-diff ship rule — at `shards > 1` a publish never ships
+///    more boundary histograms than vertices were dirty-marked, and ships
+///    at least one (`0 < boundary_hists_shipped <= boundary_dirty_marked`),
+///    so the incremental collect can neither silently degrade to full
+///    reshipping nor silently stop;
+/// 3. full run only: the incremental collect ships at least 10x fewer
+///    boundary histograms than a ship-everything collect would
+///    (`boundary_hists_total`).
+///
+/// `smoke` runs the CI-scale workload at shards 1/4/8; the full run is
+/// the 10k-edit n=2000 cell at shards 1/4.
+pub fn serve_localized(smoke: bool, out_path: &str) {
+    let (base, shard_counts): (ServeWorkload, &[usize]) = if smoke {
+        (
+            ServeWorkload {
+                mode: "localized-smoke",
+                churn: EditWorkload::Localized,
+                ..ServeWorkload::smoke()
+            },
+            &[1, 4, 8],
+        )
+    } else {
+        (
+            ServeWorkload {
+                mode: "localized",
+                churn: EditWorkload::Localized,
+                total_edits: 10_000,
+                round_edits: 200,
+                flush_size: 8,
+                snapshot_every: 1,
+                ..ServeWorkload::full()
+            },
+            &[1, 4],
+        )
+    };
     let mut t = Table::new(
-        "serve p2p smoke: localized churn, coordinator vs mailbox".to_string(),
+        format!("serve localized churn ({})", base.mode),
         &[
             "shards",
-            "engine",
             "edits/sec",
             "hists shipped",
             "dirty marked",
             "boundary total",
+            "envelope hops",
         ],
     );
     let mut cell_json = Vec::new();
     let mut reference: Option<(Cover, u64)> = None;
-    for shards in [1usize, 4, 8] {
-        let mut runs = Vec::new();
-        for engine in [ExchangeMode::Coordinator, ExchangeMode::Mailbox] {
-            let w = ServeWorkload {
-                mode: "p2p-smoke",
-                churn: EditWorkload::Localized,
-                engine,
-                ..ServeWorkload::smoke_sharded(shards)
-            };
-            eprintln!("[serve-p2p:smoke] shards={shards} engine={engine}");
-            let result = run_workload(&w);
-            runs.push(P2pRun { engine, result });
-        }
-        for run in &runs {
-            let s = &run.result.stats;
-            t.row(vec![
-                shards.to_string(),
-                run.engine.to_string(),
-                format!("{:.0}", run.result.edits_per_sec),
-                s.boundary_hists_shipped.to_string(),
-                s.boundary_dirty_marked.to_string(),
-                s.boundary_hists_total.to_string(),
-            ]);
-        }
-        let (coord, mesh) = (&runs[0], &runs[1]);
-        assert_eq!(
-            coord.result.final_cover, mesh.result.final_cover,
-            "engines diverged on the final roster at {shards} shard(s)"
+    for &shards in shard_counts {
+        let w = ServeWorkload { shards, ..base };
+        eprintln!(
+            "[serve-localized:{}] shards={shards}: {} edits, flush {}",
+            base.mode, w.total_edits, w.flush_size
         );
-        assert_eq!(
-            coord.result.final_weights_fingerprint, mesh.result.final_weights_fingerprint,
-            "engines diverged on final weights at {shards} shard(s)"
-        );
+        let r = run_workload(&w);
+        let s = &r.stats;
+        t.row(vec![
+            shards.to_string(),
+            format!("{:.0}", r.edits_per_sec),
+            s.boundary_hists_shipped.to_string(),
+            s.boundary_dirty_marked.to_string(),
+            s.boundary_hists_total.to_string(),
+            s.envelope_hops.to_string(),
+        ]);
         match &reference {
-            None => {
-                reference = Some((
-                    coord.result.final_cover.clone(),
-                    coord.result.final_weights_fingerprint,
-                ))
-            }
+            None => reference = Some((r.final_cover.clone(), r.final_weights_fingerprint)),
             Some((cover, fingerprint)) => {
                 assert_eq!(
-                    cover, &coord.result.final_cover,
+                    cover, &r.final_cover,
                     "shard count changed the final roster at {shards} shard(s)"
                 );
                 assert_eq!(
-                    *fingerprint, coord.result.final_weights_fingerprint,
+                    *fingerprint, r.final_weights_fingerprint,
                     "shard count changed the final weights at {shards} shard(s)"
                 );
             }
         }
-        let s = &mesh.result.stats;
         if shards > 1 {
             assert!(
-                s.boundary_hists_shipped <= s.boundary_dirty_marked,
-                "dirty-diff collect shipped more boundary hists ({}) than vertices \
-                 were dirty-marked ({}) — the ship rule is broken",
+                0 < s.boundary_hists_shipped && s.boundary_hists_shipped <= s.boundary_dirty_marked,
+                "dirty-diff collect broken at {shards} shards: shipped {} boundary hists, \
+                 {} dirty-marked",
                 s.boundary_hists_shipped,
                 s.boundary_dirty_marked,
             );
-            assert!(
-                s.boundary_hists_shipped > 0,
-                "mesh publishes never shipped a boundary histogram — collect path broken?"
-            );
+            if !smoke {
+                assert!(
+                    s.boundary_hists_shipped * 10 <= s.boundary_hists_total,
+                    "localized churn should ship >=10x fewer boundary hists than a \
+                     full collect would ({} shipped of {} boundary slots)",
+                    s.boundary_hists_shipped,
+                    s.boundary_hists_total,
+                );
+            }
         }
         cell_json.push(format!(
-            "{{\n    \"shards\": {shards},\n    \"coordinator\": {},\n    \
-             \"mailbox\": {},\n    \"rosters_and_weights_match\": true\n  }}",
-            coord.to_json(),
-            mesh.to_json(),
+            "{{\"shards\": {shards}, \"edits_per_sec\": {:.1}, \
+             \"weights_fingerprint\": \"{:016x}\", \"flush_mean_ns\": {}, \
+             \"snapshot_mean_ns\": {}, \"exchange_rounds\": {}, \"boundary_msgs\": {}, \
+             \"envelope_hops\": {}, \"boundary_hists_shipped\": {}, \
+             \"boundary_hists_total\": {}, \"boundary_dirty_marked\": {}}}",
+            r.edits_per_sec,
+            r.final_weights_fingerprint,
+            s.flushes.mean_ns,
+            s.snapshots.mean_ns,
+            s.exchange_rounds,
+            s.boundary_msgs,
+            s.envelope_hops,
+            s.boundary_hists_shipped,
+            s.boundary_hists_total,
+            s.boundary_dirty_marked,
         ));
     }
     t.print();
-    let smoke = ServeWorkload::smoke();
     let json = format!(
-        "{{\n  \"experiment\": \"serve-p2p\",\n  \"mode\": \"smoke\",\n  \
+        "{{\n  \"experiment\": \"serve-localized\",\n  \"mode\": \"{}\",\n  \
          \"config\": {{\"graph_n\": {}, \"iterations\": {}, \"total_edits\": {}, \
-         \"flush_size\": {}, \"churn\": \"localized\", \"cores\": {}, \"seed\": {}}},\n  \
-         \"cells\": [{}]\n}}\n",
-        smoke.graph_n,
-        smoke.iterations,
-        smoke.total_edits,
-        smoke.flush_size,
+         \"flush_size\": {}, \"snapshot_every\": {}, \"churn\": \"localized\", \
+         \"cores\": {}, \"seed\": {}}},\n  \"rosters_and_weights_match\": true,\n  \
+         \"cells\": [\n    {}\n  ]\n}}\n",
+        if smoke { "smoke" } else { "full" },
+        base.graph_n,
+        base.iterations,
+        base.total_edits,
+        base.flush_size,
+        base.snapshot_every,
         host_cores(),
-        smoke.seed,
-        cell_json.join(", "),
+        base.seed,
+        cell_json.join(",\n    "),
     );
-    std::fs::write(out_path, &json).expect("write BENCH_serve.json");
-    eprintln!("[serve-p2p:smoke] wrote {out_path}");
+    std::fs::write(out_path, &json).expect("write serve-localized JSON");
+    eprintln!("[serve-localized] wrote {out_path}");
 }
 
 #[cfg(test)]
@@ -1019,7 +808,6 @@ mod tests {
             flush_size: 64,
             snapshot_every: 2,
             shards: 1,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 7,
         };
@@ -1078,7 +866,6 @@ mod tests {
             flush_size: 64,
             snapshot_every: 2,
             shards: 1,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 9,
         };
@@ -1112,7 +899,6 @@ mod tests {
             flush_size: 64,
             snapshot_every: 2,
             shards: 1,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 31,
         };

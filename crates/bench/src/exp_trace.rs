@@ -22,7 +22,7 @@ use rslpa_serve::TraceOptions;
 use crate::exp_serve::{run_workload_traced, to_json_with_extra, ServeWorkload};
 use crate::report::Table;
 
-/// Shard count of the traced workload — matches the `serve-p2p` cell so
+/// Shard count of the traced workload — matches the 4-shard `serve-localized` cell so
 /// the attribution numbers answer the sharded-exchange questions.
 const SHARDS: usize = 4;
 
@@ -215,7 +215,6 @@ mod tests {
     use super::*;
     use rslpa_gen::edits::EditWorkload;
     use rslpa_graph::StorageBackend;
-    use rslpa_serve::ExchangeMode;
 
     use crate::exp_serve::Topology;
 
@@ -233,7 +232,6 @@ mod tests {
             flush_size: 64,
             snapshot_every: 2,
             shards,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 7,
         }

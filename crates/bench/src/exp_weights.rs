@@ -198,7 +198,7 @@ pub fn run_workload(w: &WeightsWorkload) -> WeightsBenchResult {
     let mut counters = EdgeCounters::new(det.state());
     // Both sides pay their genesis pass before the clock starts.
     merge.publish(det.graph(), &FxHashSet::default());
-    counters.refresh_weights(det.graph(), 1);
+    counters.refresh_weights(det.graph());
 
     let mut result = WeightsBenchResult::default();
     let mut round = 0u64;
@@ -227,7 +227,7 @@ pub fn run_workload(w: &WeightsWorkload) -> WeightsBenchResult {
         let merge_ns = t.elapsed().as_nanos() as u64;
         // Publish: counter read.
         let t = Instant::now();
-        let w_ctr = counters.refresh_weights(det.graph(), 1);
+        let w_ctr = counters.refresh_weights(det.graph());
         let read_ns = t.elapsed().as_nanos() as u64;
         // Equality is the contract; a drift invalidates the measurement.
         assert_eq!(w_merge.len(), w_ctr.len());

@@ -45,6 +45,13 @@ use rslpa_graph::{
 
 use crate::shard::ShardRepairState;
 
+/// Counter-less edges at or above which [`EdgeCounters::refresh_weights`]
+/// fans its merges out over the host's cores. The genesis pass merges
+/// every edge (hundreds of thousands on a web graph); a steady-state
+/// refresh merges only the edges inserted since the last one, far below
+/// this, and stays serial.
+const PARALLEL_MERGE_MIN: usize = 1 << 14;
+
 /// Pack a canonical edge into one `u64` map key: hashing a single integer
 /// is measurably cheaper than a tuple on the upkeep hot path (one
 /// counter lookup per incident edge per dirty vertex per flush).
@@ -149,7 +156,7 @@ fn hist_diff(old: HistRow<'_>, new: &[(Label, u32)]) -> Vec<(Label, i64)> {
 /// let g = AdjacencyGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
 /// let mut state = run_propagation(&g, 6, 42);
 /// let mut counters = EdgeCounters::new(&state);
-/// counters.refresh_weights(&g, 1); // genesis pass: one merge per edge
+/// counters.refresh_weights(&g); // genesis pass: one merge per edge
 ///
 /// // A repair rewrites one label slot; stream the change instead of
 /// // re-merging any histogram.
@@ -159,7 +166,7 @@ fn hist_diff(old: HistRow<'_>, new: &[(Label, u32)]) -> Vec<(Label, i64)> {
 /// counters.apply_slot_deltas(&g, &[SlotDelta { v, slot, old, new }]);
 ///
 /// // Bit-identical to a fresh full merge pass.
-/// let streamed = counters.refresh_weights(&g, 1);
+/// let streamed = counters.refresh_weights(&g);
 /// let merged = edge_weights(&g, &state);
 /// assert_eq!(streamed.len(), merged.len());
 /// for (s, m) in streamed.iter().zip(&merged) {
@@ -328,15 +335,11 @@ impl EdgeCounters {
     /// Produce the canonical weight list for `graph`: one `O(1)` counter
     /// read per live edge, one histogram merge per edge that has no
     /// counter yet (new since the last refresh — or every edge, on the
-    /// first call). Merges of missing edges fan out over `threads`
-    /// workers when there are enough of them; each merge is a pure
+    /// first call). At genesis scale (16384 or more missing edges) the
+    /// merges fan out over the host's cores; each merge is a pure
     /// function of two histograms, so the thread count cannot change a
     /// bit of the output. Counters of edges no longer present are swept.
-    pub fn refresh_weights(
-        &mut self,
-        graph: &AdjacencyGraph,
-        threads: usize,
-    ) -> Vec<(VertexId, VertexId, f64)> {
+    pub fn refresh_weights(&mut self, graph: &AdjacencyGraph) -> Vec<(VertexId, VertexId, f64)> {
         let n = graph.num_vertices();
         self.ensure_vertices(n);
         let mm = self.m as f64 * self.m as f64;
@@ -352,31 +355,29 @@ impl EdgeCounters {
                 }
             }
         }
-        let commons: Vec<u64> = if threads <= 1 || missing.len() < 256 {
-            missing
-                .iter()
-                .map(|&i| {
-                    let (u, v, _) = wlist[i];
-                    self.hists.common(u, v)
-                })
-                .collect()
+        let threads = if missing.len() < PARALLEL_MERGE_MIN {
+            1
         } else {
-            let mut out = vec![0u64; missing.len()];
-            let chunk = missing.len().div_ceil(threads).max(1);
-            let hists = &self.hists;
-            let wlist_ref = &wlist;
+            std::thread::available_parallelism().map_or(1, usize::from)
+        };
+        let mut commons = vec![0u64; missing.len()];
+        let chunk = missing.len().div_ceil(threads).max(1);
+        let (hists, wlist_ref) = (&self.hists, &wlist);
+        let merge = |idx: &[usize], out: &mut [u64]| {
+            for (&i, o) in idx.iter().zip(out) {
+                let (u, v, _) = wlist_ref[i];
+                *o = hists.common(u, v);
+            }
+        };
+        if threads <= 1 {
+            merge(&missing, &mut commons);
+        } else {
             std::thread::scope(|s| {
-                for (idx, slice) in missing.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    s.spawn(move || {
-                        for (&i, o) in idx.iter().zip(slice.iter_mut()) {
-                            let (u, v, _) = wlist_ref[i];
-                            *o = hists.common(u, v);
-                        }
-                    });
+                for (idx, out) in missing.chunks(chunk).zip(commons.chunks_mut(chunk)) {
+                    s.spawn(move || merge(idx, out));
                 }
             });
-            out
-        };
+        }
         for (&i, &c) in missing.iter().zip(&commons) {
             let (u, v, _) = wlist[i];
             self.common.insert(edge_key(u, v), c);
@@ -843,12 +844,12 @@ mod tests {
         let state = run_propagation(&g, 10, 3);
         let mut counters = EdgeCounters::new(&state);
         assert_eq!(counters.num_counters(), 0);
-        let w = counters.refresh_weights(&g, 1);
+        let w = counters.refresh_weights(&g);
         assert_weights_equal(&w, &edge_weights(&g, &state));
         assert_eq!(counters.num_counters(), g.num_edges());
         // A second refresh with no changes reads every counter (no merge)
         // and reproduces the same bits.
-        assert_weights_equal(&counters.refresh_weights(&g, 1), &w);
+        assert_weights_equal(&counters.refresh_weights(&g), &w);
     }
 
     #[test]
@@ -866,7 +867,7 @@ mod tests {
         state.set_label(1, 2, 1);
         state.set_label(1, 3, 1);
         let mut counters = EdgeCounters::new(&state);
-        counters.refresh_weights(&g, 1);
+        counters.refresh_weights(&g);
         assert_eq!(counters.common_of(0, 1), Some(2 * 1 + 2 * 3)); // = 8
                                                                    // One correction rewrites slot 2 of vertex 0 from y to x: the
                                                                    // streaming update is common += f_1(x) − f_1(y) = 1 − 3.
@@ -882,7 +883,7 @@ mod tests {
         // Fresh merge of f_0 = {x:3, y:1}, f_1 = {x:1, y:3}: 3·1 + 1·3.
         assert_eq!(counters.common_of(0, 1), Some(3 * 1 + 1 * 3)); // = 6
         assert_eq!(counters.hist(0), &[(0, 3), (1, 1)]);
-        let w = counters.refresh_weights(&g, 1);
+        let w = counters.refresh_weights(&g);
         assert_eq!(w[0].2.to_bits(), (6.0f64 / 16.0).to_bits());
     }
 
@@ -891,7 +892,7 @@ mod tests {
         let g = ring_graph(6);
         let mut state = run_propagation(&g, 8, 5);
         let mut counters = EdgeCounters::new(&state);
-        counters.refresh_weights(&g, 1);
+        counters.refresh_weights(&g);
         // Hand-apply a few slot rewrites to both the state and the
         // counters; weights must stay bit-identical to a fresh merge.
         for (v, t, new) in [(0u32, 3u32, 4u32), (1, 1, 4), (0, 5, 1), (4, 2, 0)] {
@@ -907,7 +908,7 @@ mod tests {
                 },
             );
         }
-        assert_weights_equal(&counters.refresh_weights(&g, 1), &edge_weights(&g, &state));
+        assert_weights_equal(&counters.refresh_weights(&g), &edge_weights(&g, &state));
     }
 
     #[test]
@@ -915,7 +916,7 @@ mod tests {
         let g = ring_graph(4);
         let state = run_propagation(&g, 6, 1);
         let mut counters = EdgeCounters::new(&state);
-        let before = counters.refresh_weights(&g, 1);
+        let before = counters.refresh_weights(&g);
         counters.apply_slot_delta(
             &g,
             SlotDelta {
@@ -925,7 +926,7 @@ mod tests {
                 new: 9,
             },
         );
-        assert_weights_equal(&counters.refresh_weights(&g, 1), &before);
+        assert_weights_equal(&counters.refresh_weights(&g), &before);
     }
 
     #[test]
@@ -933,12 +934,12 @@ mod tests {
         let mut g = ring_graph(6);
         let state = run_propagation(&g, 8, 7);
         let mut counters = EdgeCounters::new(&state);
-        counters.refresh_weights(&g, 1);
+        counters.refresh_weights(&g);
         // Mutate topology without touching any histogram.
         g.remove_edge(0, 1);
         g.insert_edge(0, 3);
         counters.delete_edge(0, 1);
-        let w = counters.refresh_weights(&g, 1);
+        let w = counters.refresh_weights(&g);
         assert_weights_equal(&w, &edge_weights(&g, &state));
         assert_eq!(counters.num_counters(), g.num_edges());
         assert_eq!(counters.common_of(0, 1), None);
@@ -949,9 +950,9 @@ mod tests {
         let mut g = ring_graph(5);
         let state = run_propagation(&g, 6, 2);
         let mut counters = EdgeCounters::new(&state);
-        counters.refresh_weights(&g, 1);
+        counters.refresh_weights(&g);
         g.remove_edge(1, 2); // deferred user: no delete_edge call
-        counters.refresh_weights(&g, 1);
+        counters.refresh_weights(&g);
         assert_eq!(counters.num_counters(), g.num_edges());
         assert_eq!(counters.common_of(1, 2), None);
     }
@@ -961,7 +962,7 @@ mod tests {
         let g = ring_graph(7);
         let mut state = run_propagation(&g, 9, 11);
         let mut counters = EdgeCounters::new(&state);
-        counters.refresh_weights(&g, 1);
+        counters.refresh_weights(&g);
         // Replace two whole sequences (the deferred path).
         for v in [2u32, 3] {
             for t in 1..=9u32 {
@@ -969,24 +970,22 @@ mod tests {
             }
             counters.set_sequence(&g, v, state.label_sequence(v));
         }
-        assert_weights_equal(&counters.refresh_weights(&g, 1), &edge_weights(&g, &state));
+        assert_weights_equal(&counters.refresh_weights(&g), &edge_weights(&g, &state));
     }
 
     #[test]
-    fn threaded_and_serial_first_refresh_agree() {
-        // > 256 missing edges so the parallel path actually runs.
-        let n = 300u32;
-        let mut g = ring_graph(n as u32);
+    fn genesis_scale_refresh_matches_a_full_merge() {
+        // Enough counter-less edges that the first refresh takes the
+        // parallel merge path on a multi-core host.
+        let n = (PARALLEL_MERGE_MIN / 2 + 1) as u32;
+        let mut g = ring_graph(n);
         for v in 0..n {
             g.insert_edge(v, (v + 5) % n);
         }
-        let state = run_propagation(&g, 12, 13);
-        let mut serial = EdgeCounters::new(&state);
-        let mut threaded = EdgeCounters::new(&state);
-        assert_weights_equal(
-            &serial.refresh_weights(&g, 1),
-            &threaded.refresh_weights(&g, 4),
-        );
+        assert!(g.num_edges() >= PARALLEL_MERGE_MIN);
+        let state = run_propagation(&g, 8, 13);
+        let mut counters = EdgeCounters::new(&state);
+        assert_weights_equal(&counters.refresh_weights(&g), &edge_weights(&g, &state));
     }
 
     #[test]
@@ -1018,7 +1017,7 @@ mod tests {
             let mut dg = DynamicGraph::new(g0.clone());
             let mut central_state = run_propagation(dg.graph(), t_max, seed);
             let mut central = EdgeCounters::new(&central_state);
-            central.refresh_weights(dg.graph(), 1);
+            central.refresh_weights(dg.graph());
 
             let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(parts));
             let mut shards: Vec<ShardRepairState> = (0..parts)
@@ -1035,11 +1034,12 @@ mod tests {
                 let applied = dg.apply(batch).unwrap();
                 let mut central_deltas = Vec::new();
                 let mut dirty = rslpa_graph::FxHashSet::default();
-                crate::incremental::apply_correction_streaming(
+                crate::incremental::apply_correction_damped(
                     &mut central_state,
                     dg.graph(),
                     &applied,
                     false,
+                    None,
                     &mut dirty,
                     &mut central_deltas,
                 );
@@ -1106,7 +1106,7 @@ mod tests {
                 &interior,
                 &bh,
             );
-            let reference = central.refresh_weights(dg.graph(), 1);
+            let reference = central.refresh_weights(dg.graph());
             assert_weights_equal(&reference, &edge_weights(dg.graph(), &central_state));
             (assembled, reference)
         }
@@ -1134,7 +1134,7 @@ mod tests {
             let g = ring_graph(6);
             let state = run_propagation(&g, 6, 9);
             let mut central = EdgeCounters::new(&state);
-            central.refresh_weights(&g, 1);
+            central.refresh_weights(&g);
             let p_old: Arc<dyn Partitioner> = Arc::new(HashPartitioner::with_seed(2, 1));
             let mut shards: Vec<ShardRepairState> = (0..2)
                 .map(|s| ShardRepairState::from_state(&state, &g, s, Arc::clone(&p_old)))
@@ -1179,7 +1179,7 @@ mod tests {
             }
             let assembled =
                 assemble_partitioned_weights(&g, |v| p_new.assign(v), 7, &interior, &bh);
-            assert_weights_equal(&assembled, &central.refresh_weights(&g, 1));
+            assert_weights_equal(&assembled, &central.refresh_weights(&g));
         }
     }
 }

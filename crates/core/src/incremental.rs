@@ -47,10 +47,9 @@
 //! slot) order — a canonical schedule every engine reproduces — and the
 //! release cascades normally from there. The damped fixed point after
 //! each flush is therefore the same pure function of the batch sequence
-//! regardless of shard count or exchange transport, and once every
-//! parked vertex has dropped under the cap and drained, the state
-//! converges to the undamped fixed point (picks are label-independent,
-//! so only label values ever lag).
+//! regardless of shard count, and once every parked vertex has dropped
+//! under the cap and drained, the state converges to the undamped fixed
+//! point (picks are label-independent, so only label values ever lag).
 
 use rslpa_graph::rng::{PickKey, Stream};
 use rslpa_graph::{AdjacencyGraph, AppliedBatch, FxHashSet, Label, SlotDelta, VertexId};
@@ -156,54 +155,13 @@ pub struct UpdateReport {
 
 /// Apply Correction Propagation to `state` for a batch already applied to
 /// the graph (`graph_after` is the post-edit topology, `applied` the
-/// per-vertex deltas).
+/// per-vertex deltas). The undamped repair with no dirty or delta
+/// outputs; see [`apply_correction_damped`] for the full entry point.
 pub fn apply_correction(
     state: &mut LabelState,
     graph_after: &AdjacencyGraph,
     applied: &AppliedBatch,
     value_pruned: bool,
-) -> UpdateReport {
-    let mut dirty = FxHashSet::default();
-    apply_correction_tracked(state, graph_after, applied, value_pruned, &mut dirty)
-}
-
-/// [`apply_correction`] that additionally records every vertex whose label
-/// *value* changed into `dirty` — the input set for dirty-region
-/// post-processing (a vertex whose histogram is unchanged cannot change
-/// any edge weight).
-pub fn apply_correction_tracked(
-    state: &mut LabelState,
-    graph_after: &AdjacencyGraph,
-    applied: &AppliedBatch,
-    value_pruned: bool,
-    dirty: &mut FxHashSet<VertexId>,
-) -> UpdateReport {
-    let mut deltas = Vec::new();
-    apply_correction_streaming(
-        state,
-        graph_after,
-        applied,
-        value_pruned,
-        dirty,
-        &mut deltas,
-    )
-}
-
-/// [`apply_correction_tracked`] that additionally emits one [`SlotDelta`]
-/// per label-slot *value* change, in application order — the input stream
-/// for [`EdgeCounters`](crate::edge_counters::EdgeCounters). A slot
-/// rewritten several times in one repair emits one delta per rewrite
-/// (callers compact with
-/// [`compact_slot_deltas`](rslpa_graph::compact_slot_deltas) before
-/// paying `O(deg)` per delta); unchanged-value writes emit nothing, so
-/// the stream is exactly the histogram movement of this repair.
-pub fn apply_correction_streaming(
-    state: &mut LabelState,
-    graph_after: &AdjacencyGraph,
-    applied: &AppliedBatch,
-    value_pruned: bool,
-    dirty: &mut FxHashSet<VertexId>,
-    slot_deltas: &mut Vec<SlotDelta>,
 ) -> UpdateReport {
     apply_correction_damped(
         state,
@@ -211,12 +169,23 @@ pub fn apply_correction_streaming(
         applied,
         value_pruned,
         None,
-        dirty,
-        slot_deltas,
+        &mut FxHashSet::default(),
+        &mut Vec::new(),
     )
 }
 
-/// [`apply_correction_streaming`] with degree-capped cascade damping.
+/// Correction Propagation with optional degree-capped cascade damping.
+///
+/// Every vertex whose label *value* changed is recorded into `dirty` —
+/// the input set for dirty-region post-processing (a vertex whose
+/// histogram is unchanged cannot change any edge weight). One
+/// [`SlotDelta`] per label-slot value change is appended to `slot_deltas`
+/// in application order — the input stream for
+/// [`EdgeCounters`](crate::edge_counters::EdgeCounters). A slot rewritten
+/// several times in one repair emits one delta per rewrite (callers
+/// compact with [`compact_slot_deltas`](rslpa_graph::compact_slot_deltas)
+/// before paying `O(deg)` per delta); unchanged-value writes emit nothing,
+/// so the stream is exactly the histogram movement of this repair.
 ///
 /// With `damper = None` this is bit-for-bit the undamped repair. With a
 /// damper, the flush runs in four steps:
@@ -881,11 +850,12 @@ mod tests {
                 .unwrap();
             let mut dirty = FxHashSet::default();
             let mut deltas = Vec::new();
-            apply_correction_streaming(
+            apply_correction_damped(
                 &mut state,
                 dg.graph(),
                 &applied,
                 false,
+                None,
                 &mut dirty,
                 &mut deltas,
             );

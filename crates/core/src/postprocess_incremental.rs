@@ -68,8 +68,6 @@ use crate::state::LabelState;
 pub struct IncrementalPostprocess {
     /// τ1 grid (must match the full pipeline's configuration).
     grid: Option<f64>,
-    /// Threads for merging counter-less (new) edges (1 = serial).
-    threads: usize,
     /// Histograms + exact per-edge common-label numerators.
     counters: EdgeCounters,
     /// Deferred whole-sequence replacements, applied at the next refresh.
@@ -84,17 +82,9 @@ impl IncrementalPostprocess {
     pub fn new(state: &LabelState, grid: Option<f64>) -> Self {
         Self {
             grid,
-            threads: 1,
             counters: EdgeCounters::new(state),
             pending: FxHashMap::default(),
         }
-    }
-
-    /// Fan the new-edge merges out over `threads` workers (1 = serial;
-    /// the output is bit-identical either way — each merge is a pure
-    /// function of two histograms).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Grow the vertex space to `n`; new vertices start with their
@@ -173,7 +163,7 @@ impl IncrementalPostprocess {
                 self.counters.set_sequence(graph, v, &labels);
             }
         }
-        let wlist = self.counters.refresh_weights(graph, self.threads);
+        let wlist = self.counters.refresh_weights(graph);
         let tau2 = select_tau2(n, &wlist);
         let (tau1, entropy) = select_tau1(n, &wlist, tau2, self.grid);
         let cover = extract_communities(n, &wlist, tau1, tau2);
@@ -374,34 +364,6 @@ mod tests {
             &pp.refresh(det.graph()),
             &postprocess(det.graph(), det.state(), None),
         );
-    }
-
-    #[test]
-    fn threaded_new_edge_merges_are_bit_identical() {
-        // Ring plus chords: > 256 edges so the first refresh (every edge
-        // counter-less) takes the parallel merge path.
-        let n = 400u32;
-        let mut g = AdjacencyGraph::new(n as usize);
-        for v in 0..n {
-            g.insert_edge(v, (v + 1) % n);
-            g.insert_edge(v, (v + 7) % n);
-        }
-        let mut det = RslpaDetector::new(g, RslpaConfig::quick(20, 17));
-        let mut serial = IncrementalPostprocess::new(det.state(), None);
-        let mut threaded = IncrementalPostprocess::new(det.state(), None);
-        threaded.set_threads(4);
-        assert_results_equal(&serial.refresh(det.graph()), &threaded.refresh(det.graph()));
-        let mut rng = DetRng::new(99);
-        for _ in 0..3 {
-            let batch = random_batch(det.graph(), &mut rng, 60);
-            let mut dirty = FxHashSet::default();
-            det.apply_batch_tracked(&batch, &mut dirty).unwrap();
-            for v in dirty {
-                serial.set_sequence(v, det.state().label_sequence(v));
-                threaded.set_sequence(v, det.state().label_sequence(v));
-            }
-            assert_results_equal(&serial.refresh(det.graph()), &threaded.refresh(det.graph()));
-        }
     }
 
     #[test]

@@ -1520,11 +1520,12 @@ mod tests {
                 let mut central = state0.clone();
                 let mut dirty = rslpa_graph::FxHashSet::default();
                 let mut central_deltas = Vec::new();
-                crate::incremental::apply_correction_streaming(
+                crate::incremental::apply_correction_damped(
                     &mut central,
                     dg.graph(),
                     &applied,
                     false,
+                    None,
                     &mut dirty,
                     &mut central_deltas,
                 );

@@ -143,7 +143,7 @@ fn exercise(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: usize)
         .map(|s| ShardRepairState::from_state(&central, dg.graph(), s, Arc::clone(&partitioner)))
         .collect();
     let mut counters = EdgeCounters::new(&central);
-    counters.refresh_weights(dg.graph(), 1);
+    counters.refresh_weights(dg.graph());
 
     for (round, (pairs, control)) in rounds.iter().enumerate() {
         if control & 1 != 0 {
@@ -171,14 +171,14 @@ fn exercise(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: usize)
         }
         if control & 2 != 0 {
             assert_weights_equal(
-                &counters.refresh_weights(dg.graph(), 1),
+                &counters.refresh_weights(dg.graph()),
                 &edge_weights(dg.graph(), &central),
             );
         }
     }
     // Always compare at the end of the script.
     assert_weights_equal(
-        &counters.refresh_weights(dg.graph(), 1),
+        &counters.refresh_weights(dg.graph()),
         &edge_weights(dg.graph(), &central),
     );
 }
@@ -239,7 +239,7 @@ fn exercise_mesh(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: u
     // Partition slices carved from a genesis-refreshed central store —
     // the serve bootstrap path.
     let mut genesis = EdgeCounters::new(&central);
-    genesis.refresh_weights(dg.graph(), 1);
+    genesis.refresh_weights(dg.graph());
     let mut partitions: Vec<CounterPartition> = shards
         .iter()
         .map(|rows| CounterPartition::carve(&genesis, rows))

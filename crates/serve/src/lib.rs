@@ -9,19 +9,22 @@
 //! ## Architecture
 //!
 //! ```text
-//!  writers ──▶ EditQueue ──▶ coordinator ──▶ router ─┬▶ shard worker 0 ─┐
-//!             (micro-batch    net-resolve   (deltas  ├▶ shard worker 1  │ boundary
-//!              per policy)    + growth)     by owner)└▶ shard worker N  │ exchange
-//!                                  │                  ▲ Unrecord/Fetch/Value
-//!                                  │                  └─────rounds──────┘
-//!                                  │ slot deltas per flush (piggybacked)
-//!                                  ▼
-//!                        IncrementalPostprocess ──▶ snapshot ──▶ SnapshotStore
-//!                        (streaming edge-weight     assembly     (epoch chain)
-//!                         counters; publish reads                     │
-//!                         weights, never re-merges)                   │
-//!  readers ◀─────────────────── lock-free refresh ◀──────────────────┘
+//!  writers ──▶ EditQueue ──▶ coordinator ──▶ sub-queues ─┬▶ shard worker 0 ◀──┐
+//!             (micro-batch    net-resolve   (deltas to   ├▶ shard worker 1 ◀──┤ p2p mailbox
+//!              per policy)    + growth)      owners only)└▶ shard worker N ◀──┘ mesh
+//!                                  │                      (each owns its label rows
+//!                                  │                       and CounterPartition)
+//!                                  │ collect at publish: interior counters +
+//!                                  ▼ dirty boundary histograms
+//!                        weight assembly ──▶ snapshot ──▶ SnapshotStore
+//!                        (counter reads;     assembly     (epoch chain)
+//!                         boundary edges                       │
+//!                         merged from hists)                   │
+//!  readers ◀─────────────────── lock-free refresh ◀───────────┘
 //! ```
+//!
+//! At `shards = 1` the coordinator repairs and keeps the counters itself
+//! (no sub-queues, no mesh).
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the full
 //! layer-by-layer book, including the counter invariant and a worked
@@ -40,8 +43,9 @@
 //! * `shards` (internal) — the repair engine: a single-writer
 //!   [`RslpaDetector`](rslpa_core::RslpaDetector) at `shards = 1` (the
 //!   default), or per-partition workers exchanging boundary corrections
-//!   and re-partitioned around each published cover at `shards > 1`.
-//!   Rosters are bit-identical across shard counts.
+//!   over a peer-to-peer mailbox mesh and re-partitioned around each
+//!   published cover at `shards > 1`. Rosters are bit-identical across
+//!   shard counts.
 //! * [`snapshot`] — versioned immutable [`CommunitySnapshot`]s linked into
 //!   an epoch chain; readers advance with atomic loads only and can pin
 //!   any epoch indefinitely.
@@ -49,7 +53,7 @@
 //!   epoch-to-epoch membership diffs, all latency-accounted.
 //! * [`stats`] — wait-free histograms + counters (global, per-shard, and
 //!   boundary-exchange); p50/p99 summaries resolved to log₂-bucket
-//!   geometric means.
+//!   geometric means, clamped to the recorded max.
 //!
 //! The facade is [`CommunityService`]; see its docs for a runnable
 //! example.
@@ -67,9 +71,7 @@ pub mod stats;
 pub use policy::{BarrierOnly, ByDeadline, BySize, FlushPolicy, Immediate};
 pub use query::QueryEngine;
 pub use queue::EditOp;
-pub use service::{
-    CommunityService, ExchangeMode, IngestHandle, ServeConfig, ServiceClosed, TraceOptions,
-};
+pub use service::{CommunityService, IngestHandle, ServeConfig, ServiceClosed, TraceOptions};
 
 // Re-exported so callers can tune serve-path damping without a direct
 // `rslpa_core` dependency.

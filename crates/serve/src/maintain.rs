@@ -3,16 +3,16 @@
 //! snapshots.
 //!
 //! One thread drives the loop. With `shards = 1` it owns the
-//! [`RslpaDetector`](rslpa_core::RslpaDetector) outright (the pre-sharding
-//! single-writer path); with `shards > 1` it routes each flush to the
-//! per-partition workers and drives their boundary exchange (see
-//! the private `shards` module). Either way, every flush streams the
-//! repair's label-slot changes into the
-//! [`rslpa_core::IncrementalPostprocess`] counter
-//! store (`O(deg)` per net slot change), so snapshot publishing reads
-//! each edge weight off an exact integer counter instead of re-merging
-//! histograms — publish-time weight cost tracks the number of *inserted*
-//! edges, not the dirty region. Readers interact only through the
+//! [`RslpaDetector`](rslpa_core::RslpaDetector) outright (the
+//! single-writer path) and streams every flush's label-slot changes into
+//! the [`rslpa_core::IncrementalPostprocess`] counter store (`O(deg)` per
+//! net slot change); with `shards > 1` it routes each flush to the
+//! per-partition mailbox-mesh workers (see the private `shards` module),
+//! which fold their own slot changes into their own counter partitions.
+//! Either way, snapshot publishing reads each edge weight off an exact
+//! integer counter instead of re-merging histograms — publish-time
+//! weight cost tracks the number of *inserted* edges, not the dirty
+//! region. Readers interact only through the
 //! epoch-swapped [`SnapshotStore`].
 //!
 //! Live streams are messier than the paper's curated batches: clients may

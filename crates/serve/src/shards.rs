@@ -1,36 +1,29 @@
 //! The repair engine behind the maintenance loop: a single-writer
-//! detector, coordinator-relayed shards, or the peer-to-peer mailbox
-//! mesh.
+//! detector, or the peer-to-peer mailbox mesh.
 //!
-//! * [`RepairEngine::Single`] — the pre-sharding hot path: one
+//! * [`RepairEngine::Single`] — the single-writer hot path: one
 //!   [`RslpaDetector`] owned by the maintenance thread, repairing via
-//!   centralized Correction Propagation. Default (`shards = 1`).
-//! * [`RepairEngine::Sharded`] — the coordinator-relayed baseline: `N`
-//!   worker threads, each owning one [`ShardRepairState`]; corrections
-//!   that cross a partition boundary travel as [`Envelope`]s through
-//!   coordinator-driven exchange rounds (2 channel hops per active shard
-//!   per round, every envelope relayed through 2 channels), and counter
-//!   upkeep runs centrally on the maintenance thread.
-//! * [`RepairEngine::Mailbox`] — the decentralized engine (default for
-//!   `shards > 1`): workers exchange envelopes **directly** over a
-//!   [`MailboxPort`] mesh, rounds synchronize on a shared barrier with a
-//!   monotone sent-counter for termination (no coordinator traffic per
-//!   round, 1 channel hop per envelope), and each worker owns the
-//!   [`CounterPartition`] of its own vertices so slot-delta upkeep runs
-//!   inside the workers in parallel. The coordinator posts a flush into
-//!   the sub-queues of only the shards with routed deltas; the full mesh
-//!   wakes only when some shard actually staged boundary traffic
-//!   (interior flushes never wake idle shards). At publish, workers ship
-//!   their interior-edge counters and boundary-vertex histograms, and
-//!   the coordinator assembles the canonical weight list
-//!   ([`assemble_partitioned_weights`]) — boundary edges are merged
-//!   there, per the cross-shard edge ownership rule.
+//!   centralized Correction Propagation, with counter upkeep on the
+//!   maintenance thread. Used at `shards = 1` (the default).
+//! * [`RepairEngine::Mailbox`] — the sharded engine (`shards > 1`): `N`
+//!   worker threads, each owning one [`ShardRepairState`], exchange
+//!   boundary [`Envelope`]s **directly** over a [`MailboxPort`] mesh.
+//!   Rounds synchronize on a shared barrier with a monotone sent-counter
+//!   for termination (no coordinator traffic per round, 1 channel hop
+//!   per envelope), and each worker owns the [`CounterPartition`] of its
+//!   own vertices so slot-delta upkeep runs inside the workers in
+//!   parallel. The coordinator posts a flush into the sub-queues of only
+//!   the shards with routed deltas; the full mesh wakes only when some
+//!   shard actually staged boundary traffic (interior flushes never wake
+//!   idle shards). At publish, workers ship their interior-edge counters
+//!   and boundary-vertex histograms, and the coordinator assembles the
+//!   canonical weight list ([`assemble_partitioned_weights`]) — boundary
+//!   edges are merged there, per the cross-shard edge ownership rule.
 //!
-//! All engines produce **bit-identical** label state, weights, and
+//! Both engines produce **bit-identical** label state, weights, and
 //! rosters for the same batch sequence (pinned by `rslpa_core::shard` /
 //! `edge_counters` tests and the cross-shard roster tests in this
-//! crate), so shard count and exchange transport are purely throughput
-//! knobs.
+//! crate), so shard count is purely a throughput knob.
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -53,130 +46,11 @@ use rslpa_graph::{
 use rslpa_graph::{Cover, Label};
 use rslpa_trace::{names, TraceWriter, Tracer};
 
-use crate::service::ExchangeMode;
 use crate::stats::ServeStats;
 
 /// How long the coordinator waits for a worker reply before concluding the
 /// worker died (a worker panic would otherwise deadlock the loop).
 const WORKER_REPLY_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Commands the coordinator sends to a shard worker.
-enum ShardCmd {
-    /// Phase A for this shard's slice of the flush.
-    Apply(Vec<(VertexId, rslpa_graph::VertexDelta)>),
-    /// One boundary-exchange round of inbound envelopes.
-    Exchange(Vec<Envelope>),
-    /// Hand over the rows of vertices this shard no longer owns.
-    Extract(Vec<VertexId>),
-    /// Install the new ownership map and any rows migrating in.
-    Adopt {
-        partitioner: Arc<dyn Partitioner>,
-        rows: Vec<(VertexId, VertexRowData)>,
-    },
-    /// Exit the worker thread.
-    Shutdown,
-}
-
-/// Worker replies, tagged with the shard index where the coordinator
-/// needs it.
-enum ShardReply {
-    Repaired {
-        shard: usize,
-        out: Vec<Envelope>,
-        report: ShardFlushReport,
-        /// Slot changes this command produced, in application order —
-        /// piggybacked so counter maintenance needs no extra round trip.
-        /// The reply channel is FIFO per sender, so one vertex's deltas
-        /// (always from its single owner shard) arrive chained.
-        deltas: Vec<SlotDelta>,
-    },
-    Extracted {
-        rows: Vec<(VertexId, VertexRowData)>,
-    },
-    Adopted,
-}
-
-fn worker_loop(
-    mut shard: ShardRepairState,
-    cmds: Receiver<ShardCmd>,
-    replies: Sender<ShardReply>,
-    stats: Arc<ServeStats>,
-    trace: TraceWriter,
-) {
-    let idx = shard.shard();
-    let wall_started = Instant::now();
-    loop {
-        let wait_t0 = trace.enabled().then(|| trace.now_ns());
-        let waited = Instant::now();
-        let Ok(cmd) = cmds.recv() else { break };
-        stats.note_shard_mailbox_wait(idx, waited.elapsed());
-        if let Some(t0) = wait_t0 {
-            trace.record_span(
-                names::MAILBOX_WAIT,
-                t0,
-                trace.now_ns().saturating_sub(t0),
-                0,
-            );
-        }
-        let work_started = Instant::now();
-        match cmd {
-            ShardCmd::Apply(deltas) => {
-                let _span = trace.span_with(names::SHARD_FLUSH, deltas.len() as u64);
-                let mut out = Vec::new();
-                let report = shard.apply_deltas(&deltas, &mut out);
-                if replies
-                    .send(ShardReply::Repaired {
-                        shard: idx,
-                        out,
-                        report,
-                        deltas: shard.take_slot_deltas(),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            ShardCmd::Exchange(inbox) => {
-                let _span = trace.span_with(names::EXCHANGE, inbox.len() as u64);
-                let mut out = Vec::new();
-                let report = shard.exchange(inbox, &mut out);
-                if replies
-                    .send(ShardReply::Repaired {
-                        shard: idx,
-                        out,
-                        report,
-                        deltas: shard.take_slot_deltas(),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            ShardCmd::Extract(ids) => {
-                let _span = trace.span_with(names::MIGRATE, ids.len() as u64);
-                if replies
-                    .send(ShardReply::Extracted {
-                        rows: shard.extract_rows(&ids),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            ShardCmd::Adopt { partitioner, rows } => {
-                let _span = trace.span_with(names::MIGRATE, rows.len() as u64);
-                shard.set_partitioner(partitioner);
-                shard.adopt_rows(rows);
-                if replies.send(ShardReply::Adopted).is_err() {
-                    break;
-                }
-            }
-            ShardCmd::Shutdown => break,
-        }
-        stats.note_shard_cmd(idx, work_started.elapsed(), Duration::ZERO, Duration::ZERO);
-    }
-    stats.set_shard_wall(idx, wall_started.elapsed());
-}
 
 /// Commands the coordinator posts into a mesh worker's sub-queue.
 enum MeshCmd {
@@ -268,7 +142,7 @@ fn mesh_upkeep(
     took
 }
 
-fn mesh_worker_loop(
+fn run_mesh_worker(
     mut state: ShardRepairState,
     mut counters: CounterPartition,
     mut port: MailboxPort,
@@ -480,22 +354,6 @@ pub(crate) struct SingleEngine {
     detector: RslpaDetector,
 }
 
-/// Partition-sharded engine: coordinator state plus worker handles.
-pub(crate) struct ShardedEngine {
-    /// Topology mirror (the coordinator needs the whole graph for net-op
-    /// resolution and post-processing; the label state lives only on the
-    /// shards).
-    graph: DynamicGraph,
-    partitioner: Arc<dyn Partitioner>,
-    boundary: BoundaryTracker,
-    workers: Vec<Sender<ShardCmd>>,
-    replies: Receiver<ShardReply>,
-    handles: Vec<JoinHandle<()>>,
-    batches_applied: usize,
-    /// Per-flush delta scratch, retained across batches.
-    applied: AppliedBatch,
-}
-
 /// Decentralized engine: coordinator state for the peer-to-peer mailbox
 /// mesh. Label exchange and counter upkeep live on the workers; the
 /// coordinator only routes flush deltas, decides whether the mesh must
@@ -543,7 +401,6 @@ pub(crate) struct MailboxEngine {
 /// The maintenance loop's repair backend.
 pub(crate) enum RepairEngine {
     Single(Box<SingleEngine>),
-    Sharded(ShardedEngine),
     Mailbox(MailboxEngine),
 }
 
@@ -564,7 +421,6 @@ impl RepairEngine {
         graph: AdjacencyGraph,
         config: &RslpaConfig,
         shards: usize,
-        mode: ExchangeMode,
         stats: &Arc<ServeStats>,
         tracer: &Arc<Tracer>,
     ) -> Bootstrap {
@@ -579,15 +435,8 @@ impl RepairEngine {
             };
         }
         let state = rslpa_core::run_propagation(&graph, config.iterations, config.seed);
-        let mut postprocess = IncrementalPostprocess::new(&state, config.tau1_grid);
-        // Under the coordinator engine the maintenance thread owns
-        // publishing, so it borrows the shard budget for the snapshot
-        // weight pass — capped at the machine's actual parallelism (extra
-        // threads on a small host only add switches). The mailbox engine
-        // reads weights off the worker partitions instead.
-        let hw = std::thread::available_parallelism().map_or(1, usize::from);
-        postprocess.set_threads(shards.min(hw));
-        let genesis = postprocess.refresh(&graph);
+        let mut central = IncrementalPostprocess::new(&state, config.tau1_grid);
+        let genesis = central.refresh(&graph);
         // Shard along the communities the genesis detection just found:
         // correction cascades follow edges, and community-aligned shards
         // keep most edges — hence most cascade hops — shard-local. (BFS
@@ -603,105 +452,62 @@ impl RepairEngine {
             boundary.cut_edges() as u64,
             boundary.boundary_vertices() as u64,
         );
-        let make_shard = |s: usize| {
+        let (reply_tx, replies) = std::sync::mpsc::channel();
+        let mut workers = Vec::with_capacity(shards);
+        let mut handles = Vec::with_capacity(shards);
+        let ports = build_mesh(shards);
+        let poisoner = ports[0].poisoner();
+        for (s, mut port) in ports.into_iter().enumerate() {
             let mut shard =
                 ShardRepairState::from_state(&state, &graph, s, Arc::clone(&partitioner));
             shard.set_value_pruned(config.value_pruned_cascade);
             shard.set_damping(config.damping);
-            shard
-        };
-        let engine = match mode {
-            ExchangeMode::Coordinator => {
-                let (reply_tx, replies) = std::sync::mpsc::channel();
-                let mut workers = Vec::with_capacity(shards);
-                let mut handles = Vec::with_capacity(shards);
-                for s in 0..shards {
-                    let shard = make_shard(s);
-                    let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
-                    let reply_tx = reply_tx.clone();
-                    let stats = Arc::clone(stats);
-                    let trace = tracer.writer(1 + s);
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("rslpa-serve-shard-{s}"))
-                            .spawn(move || worker_loop(shard, cmd_rx, reply_tx, stats, trace))
-                            .expect("spawn shard worker"),
-                    );
-                    workers.push(cmd_tx);
-                }
-                RepairEngine::Sharded(ShardedEngine {
-                    graph: DynamicGraph::new(graph),
-                    partitioner,
-                    boundary,
-                    workers,
-                    replies,
-                    handles,
-                    batches_applied: 0,
-                    applied: AppliedBatch::default(),
-                })
-            }
-            ExchangeMode::Mailbox => {
-                let (reply_tx, replies) = std::sync::mpsc::channel();
-                let mut workers = Vec::with_capacity(shards);
-                let mut handles = Vec::with_capacity(shards);
-                let ports = build_mesh(shards);
-                let poisoner = ports[0].poisoner();
-                for (s, mut port) in ports.into_iter().enumerate() {
-                    let shard = make_shard(s);
-                    // Carve this worker's counter partition out of the
-                    // genesis-refreshed central store, so the genesis
-                    // weight pass is never repeated.
-                    let counters = CounterPartition::carve(postprocess.counters(), &shard);
-                    let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
-                    let reply_tx = reply_tx.clone();
-                    let stats = Arc::clone(stats);
-                    // Port and loop share the worker's lane: both record
-                    // only from the worker thread, so the single-writer
-                    // ring contract holds.
-                    let trace = tracer.writer(1 + s);
-                    port.set_trace(trace.clone());
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("rslpa-serve-shard-{s}"))
-                            .spawn(move || {
-                                mesh_worker_loop(
-                                    shard, counters, port, cmd_rx, reply_tx, stats, trace,
-                                )
-                            })
-                            .expect("spawn mesh shard worker"),
-                    );
-                    workers.push(cmd_tx);
-                }
-                // The workers now hold the only live counter state; the
-                // central store just carved from would otherwise sit in
-                // the maintenance loop as a permanently stale O(n·T + m)
-                // copy (and silently answer anyone who reads it), so
-                // replace it with an empty husk.
-                postprocess = IncrementalPostprocess::new(
-                    &rslpa_core::LabelState::new(0, config.iterations, config.seed),
-                    config.tau1_grid,
-                );
-                RepairEngine::Mailbox(MailboxEngine {
-                    graph: DynamicGraph::new(graph),
-                    partitioner,
-                    boundary,
-                    workers,
-                    replies,
-                    handles,
-                    batches_applied: 0,
-                    applied: AppliedBatch::default(),
-                    draws: config.iterations + 1,
-                    grid: config.tau1_grid,
-                    hist_cache: FxHashMap::default(),
-                    pending_shards: vec![false; shards],
-                    failed: None,
-                    poisoner,
-                })
-            }
-        };
+            // Carve this worker's counter partition out of the
+            // genesis-refreshed central store, so the genesis weight pass
+            // is never repeated.
+            let counters = CounterPartition::carve(central.counters(), &shard);
+            let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
+            let reply_tx = reply_tx.clone();
+            let stats = Arc::clone(stats);
+            // Port and loop share the worker's lane: both record only from
+            // the worker thread, so the single-writer ring contract holds.
+            let trace = tracer.writer(1 + s);
+            port.set_trace(trace.clone());
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("rslpa-serve-shard-{s}"))
+                    .spawn(move || {
+                        run_mesh_worker(shard, counters, port, cmd_rx, reply_tx, stats, trace)
+                    })
+                    .expect("spawn mesh shard worker"),
+            );
+            workers.push(cmd_tx);
+        }
         Bootstrap {
-            engine,
-            postprocess,
+            engine: RepairEngine::Mailbox(MailboxEngine {
+                graph: DynamicGraph::new(graph),
+                partitioner,
+                boundary,
+                workers,
+                replies,
+                handles,
+                batches_applied: 0,
+                applied: AppliedBatch::default(),
+                draws: config.iterations + 1,
+                grid: config.tau1_grid,
+                hist_cache: FxHashMap::default(),
+                pending_shards: vec![false; shards],
+                failed: None,
+                poisoner,
+            }),
+            // The workers now hold the only live counter state; the central
+            // store just carved from would otherwise sit in the maintenance
+            // loop as a permanently stale O(n·T + m) copy (and silently
+            // answer anyone who reads it), so hand over an empty husk.
+            postprocess: IncrementalPostprocess::new(
+                &rslpa_core::LabelState::new(0, config.iterations, config.seed),
+                config.tau1_grid,
+            ),
             genesis,
         }
     }
@@ -710,7 +516,6 @@ impl RepairEngine {
     pub(crate) fn graph(&self) -> &AdjacencyGraph {
         match self {
             RepairEngine::Single(e) => e.detector.graph(),
-            RepairEngine::Sharded(e) => e.graph.graph(),
             RepairEngine::Mailbox(e) => e.graph.graph(),
         }
     }
@@ -719,15 +524,11 @@ impl RepairEngine {
     pub(crate) fn ensure_vertices(&mut self, n: usize) {
         match self {
             RepairEngine::Single(e) => e.detector.ensure_vertices(n),
-            RepairEngine::Sharded(e) => {
+            RepairEngine::Mailbox(e) => {
                 e.graph.ensure_vertices(n);
                 e.boundary.ensure_vertices(n);
                 // Shard rows materialize lazily when a delta first touches
                 // an owned vertex; nothing to broadcast.
-            }
-            RepairEngine::Mailbox(e) => {
-                e.graph.ensure_vertices(n);
-                e.boundary.ensure_vertices(n);
             }
         }
     }
@@ -736,7 +537,6 @@ impl RepairEngine {
     pub(crate) fn batches_applied(&self) -> usize {
         match self {
             RepairEngine::Single(e) => e.detector.batches_applied(),
-            RepairEngine::Sharded(e) => e.batches_applied,
             RepairEngine::Mailbox(e) => e.batches_applied,
         }
     }
@@ -749,10 +549,9 @@ impl RepairEngine {
 
     /// Coordinator-resident memory footprint: the storage this thread
     /// itself holds live. Single writer: graph + label state + central
-    /// counters. Sharded coordinator: topology mirror + central counters
-    /// (label rows live on the workers). Mailbox: topology mirror only
-    /// (label rows *and* counter partitions live on the workers;
-    /// `postprocess` is an empty husk there and contributes ~nothing).
+    /// counters. Mailbox: topology mirror only (label rows *and* counter
+    /// partitions live on the workers; `postprocess` is an empty husk
+    /// there and contributes ~nothing).
     pub(crate) fn mem_footprint(&self, postprocess: &IncrementalPostprocess) -> MemFootprint {
         let own = match self {
             RepairEngine::Single(e) => e
@@ -760,7 +559,6 @@ impl RepairEngine {
                 .graph()
                 .mem_footprint()
                 .plus(e.detector.state().mem_footprint()),
-            RepairEngine::Sharded(e) => e.graph.graph().mem_footprint(),
             RepairEngine::Mailbox(e) => e.graph.graph().mem_footprint(),
         };
         own.plus(postprocess.mem_footprint())
@@ -770,11 +568,11 @@ impl RepairEngine {
     /// `(eta, dirty_vertices)`: total repaired slots (η) and the number
     /// of distinct vertices whose stored labels changed (the flush's
     /// dirty region — vertex ownership is disjoint, so per-shard counts
-    /// sum exactly). For engines with central counter upkeep the
-    /// repair's label-slot changes are appended to `slot_deltas` in
-    /// application order (the mailbox engine's workers consume their own
-    /// streams instead and leave it untouched). Per-shard and exchange
-    /// counters are recorded into `stats`.
+    /// sum exactly). The single writer appends the repair's label-slot
+    /// changes to `slot_deltas` in application order for central counter
+    /// upkeep (the mailbox engine's workers consume their own streams
+    /// instead and leave it untouched). Per-shard and exchange counters
+    /// are recorded into `stats`.
     pub(crate) fn apply(
         &mut self,
         batch: &EditBatch,
@@ -792,16 +590,15 @@ impl RepairEngine {
                 stats.note_damped_deferrals(report.damped_deferrals as u64);
                 (report.eta as u64, dirty.len() as u64)
             }
-            RepairEngine::Sharded(e) => e.apply(batch, stats, slot_deltas),
             RepairEngine::Mailbox(e) => e.apply(batch, stats),
         }
     }
 
     /// Produce the publish-time detection result: threshold selection and
-    /// extraction over this epoch's weight list. The single-writer and
-    /// coordinator engines read the central counter store; the mailbox
-    /// engine collects its workers' partitions and assembles the list
-    /// (bit-identical either way). Fails — instead of panicking — when a
+    /// extraction over this epoch's weight list. The single writer reads
+    /// the central counter store; the mailbox engine collects its
+    /// workers' partitions and assembles the list (bit-identical either
+    /// way). Fails — instead of panicking — when a
     /// mailbox worker died; the caller skips the publish and keeps the
     /// epoch dirty.
     pub(crate) fn refresh(
@@ -811,12 +608,9 @@ impl RepairEngine {
         trace: &TraceWriter,
     ) -> Result<PostprocessResult, PublishError> {
         match self {
-            RepairEngine::Single(_) | RepairEngine::Sharded(_) => {
+            RepairEngine::Single(e) => {
                 let _span = trace.span(names::PUBLISH_WEIGHTS);
-                let graph = self.graph();
-                // Split borrows: `self.graph()` borrows self immutably,
-                // postprocess is independent state.
-                Ok(postprocess.refresh(graph))
+                Ok(postprocess.refresh(e.detector.graph()))
             }
             RepairEngine::Mailbox(e) => e.collect_and_refresh(stats, trace),
         }
@@ -830,200 +624,7 @@ impl RepairEngine {
     pub(crate) fn repartition(&mut self, cover: &Cover, pulls: &[HubPull], stats: &ServeStats) {
         match self {
             RepairEngine::Single(_) => {}
-            RepairEngine::Sharded(e) => e.repartition(cover, pulls, stats),
             RepairEngine::Mailbox(e) => e.repartition(cover, pulls, stats),
-        }
-    }
-}
-
-impl ShardedEngine {
-    fn recv_reply(&self) -> ShardReply {
-        self.replies
-            .recv_timeout(WORKER_REPLY_TIMEOUT)
-            .expect("shard worker unresponsive (panicked?)")
-    }
-
-    /// One flush: route deltas, run Phase A on all shards in parallel,
-    /// then drive boundary-exchange rounds until no envelope is in flight.
-    /// Slot changes piggyback on every worker reply and accumulate into
-    /// `slot_deltas` — counter maintenance costs no extra exchange round.
-    fn apply(
-        &mut self,
-        batch: &EditBatch,
-        stats: &ServeStats,
-        slot_deltas: &mut Vec<SlotDelta>,
-    ) -> (u64, u64) {
-        self.graph
-            .apply_into(batch, &mut self.applied)
-            .expect("net-resolved batch validates by construction");
-        self.boundary.apply(batch, self.partitioner.as_ref());
-        stats.set_boundary_gauges(
-            self.boundary.cut_edges() as u64,
-            self.boundary.boundary_vertices() as u64,
-        );
-        let shards = self.workers.len();
-        let per_shard = split_deltas(&self.applied, self.partitioner.as_ref());
-        let mut routed = vec![0u64; shards];
-        let mut hops = 0u64;
-        for (s, deltas) in per_shard.into_iter().enumerate() {
-            routed[s] = deltas.len() as u64;
-            hops += 1;
-            self.workers[s]
-                .send(ShardCmd::Apply(deltas))
-                .expect("shard worker alive");
-        }
-        let mut reports = vec![ShardFlushReport::default(); shards];
-        // Outboxes collected per source shard so the next round's inbox
-        // composition (and therefore the stats) is deterministic.
-        let mut outboxes: Vec<Vec<Envelope>> = vec![Vec::new(); shards];
-        for _ in 0..shards {
-            hops += 1;
-            match self.recv_reply() {
-                ShardReply::Repaired {
-                    shard,
-                    out,
-                    report,
-                    deltas,
-                } => {
-                    reports[shard].absorb(&report);
-                    outboxes[shard] = out;
-                    slot_deltas.extend(deltas);
-                }
-                _ => unreachable!("only repairs in flight during flush"),
-            }
-        }
-        let mut rounds = 0u64;
-        let mut boundary_msgs = 0u64;
-        loop {
-            let mut inboxes: Vec<Vec<Envelope>> = vec![Vec::new(); shards];
-            for out in &mut outboxes {
-                for env in out.drain(..) {
-                    boundary_msgs += 1;
-                    inboxes[self.partitioner.assign(env.to)].push(env);
-                }
-            }
-            let active: Vec<usize> = (0..shards).filter(|&s| !inboxes[s].is_empty()).collect();
-            if active.is_empty() {
-                break;
-            }
-            rounds += 1;
-            hops += 2 * active.len() as u64;
-            for &s in &active {
-                self.workers[s]
-                    .send(ShardCmd::Exchange(std::mem::take(&mut inboxes[s])))
-                    .expect("shard worker alive");
-            }
-            for _ in 0..active.len() {
-                match self.recv_reply() {
-                    ShardReply::Repaired {
-                        shard,
-                        out,
-                        report,
-                        deltas,
-                    } => {
-                        reports[shard].absorb(&report);
-                        outboxes[shard] = out;
-                        slot_deltas.extend(deltas);
-                    }
-                    _ => unreachable!("only repairs in flight during flush"),
-                }
-            }
-        }
-        let mut eta = 0u64;
-        let mut dirty = 0u64;
-        let mut deferred = 0u64;
-        for (s, report) in reports.iter().enumerate() {
-            stats.note_shard_flush(s, routed[s], report.eta as u64);
-            eta += report.eta as u64;
-            dirty += report.dirty_vertices as u64;
-            deferred += report.damped_deferrals as u64;
-        }
-        stats.note_damped_deferrals(deferred);
-        stats.note_exchange(rounds, boundary_msgs);
-        stats.note_channel_hops(hops);
-        // Every boundary envelope is relayed: worker → coordinator →
-        // worker, two channels per envelope.
-        stats.note_envelope_hops(2 * boundary_msgs);
-        self.batches_applied += 1;
-        (eta, dirty)
-    }
-}
-
-impl ShardedEngine {
-    /// Re-plan ownership stickily around `cover` (hub pulls first) and
-    /// migrate the rows of every vertex whose owner changed. Runs at
-    /// publish time, between flushes, so no envelope is in flight and
-    /// shard queues are empty.
-    fn repartition(&mut self, cover: &Cover, pulls: &[HubPull], stats: &ServeStats) {
-        let shards = self.workers.len();
-        let n = self.graph.graph().num_vertices();
-        let next: Arc<dyn Partitioner> = Arc::new(PlannedPartitioner::rebalance_with_hubs(
-            self.partitioner.as_ref(),
-            cover,
-            n,
-            shards,
-            pulls,
-        ));
-        // Which rows leave which shard?
-        let mut leaving: Vec<Vec<VertexId>> = vec![Vec::new(); shards];
-        let mut moved = 0u64;
-        for v in 0..n as VertexId {
-            let old = self.partitioner.assign(v);
-            if old != next.assign(v) {
-                leaving[old].push(v);
-                moved += 1;
-            }
-        }
-        // Even a zero-move re-plan installs the new map everywhere:
-        // coordinator routing and worker-local `owns()` must never
-        // disagree, or an envelope could bounce between them forever.
-        for (worker, ids) in self.workers.iter().zip(leaving) {
-            worker
-                .send(ShardCmd::Extract(ids))
-                .expect("shard worker alive");
-        }
-        let mut incoming: Vec<Vec<(VertexId, VertexRowData)>> = vec![Vec::new(); shards];
-        for _ in 0..shards {
-            match self.recv_reply() {
-                ShardReply::Extracted { rows } => {
-                    for (v, row) in rows {
-                        incoming[next.assign(v)].push((v, row));
-                    }
-                }
-                _ => unreachable!("only extracts in flight during repartition"),
-            }
-        }
-        for (worker, rows) in self.workers.iter().zip(incoming) {
-            worker
-                .send(ShardCmd::Adopt {
-                    partitioner: Arc::clone(&next),
-                    rows,
-                })
-                .expect("shard worker alive");
-        }
-        for _ in 0..shards {
-            match self.recv_reply() {
-                ShardReply::Adopted => {}
-                _ => unreachable!("only adopts in flight during repartition"),
-            }
-        }
-        self.partitioner = next;
-        self.boundary = BoundaryTracker::new(self.graph.graph(), self.partitioner.as_ref());
-        stats.note_repartition(moved);
-        stats.set_boundary_gauges(
-            self.boundary.cut_edges() as u64,
-            self.boundary.boundary_vertices() as u64,
-        );
-    }
-}
-
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        for worker in &self.workers {
-            let _ = worker.send(ShardCmd::Shutdown);
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
         }
     }
 }
@@ -1353,14 +954,7 @@ mod tests {
         let config = RslpaConfig::quick(20, 7);
         let stats = Arc::new(ServeStats::with_shards(shards));
         let tracer = Arc::new(Tracer::disabled());
-        let boot = RepairEngine::bootstrap(
-            graph,
-            &config,
-            shards,
-            ExchangeMode::Mailbox,
-            &stats,
-            &tracer,
-        );
+        let boot = RepairEngine::bootstrap(graph, &config, shards, &stats, &tracer);
         (boot.engine, boot.postprocess, stats)
     }
 

@@ -145,15 +145,16 @@ impl HistogramSnapshot {
     /// The interval `prev .. self`: bucket-wise difference of two
     /// snapshots of the same (monotone) histogram. The interval's `max_ns`
     /// is approximated by the representative of its highest occupied
-    /// bucket — the true max of just this window is not recoverable from
-    /// cumulative counters.
+    /// bucket, capped at the cumulative max — the true max of just this
+    /// window is not recoverable from cumulative counters, but it can
+    /// never exceed the largest sample ever recorded.
     pub fn delta_since(&self, prev: &HistogramSnapshot) -> HistogramSnapshot {
         let buckets: [u64; BUCKETS] =
             std::array::from_fn(|i| self.buckets[i].saturating_sub(prev.buckets[i]));
         let max_ns = buckets
             .iter()
             .rposition(|&c| c > 0)
-            .map_or(0, bucket_representative);
+            .map_or(0, |i| bucket_representative(i).min(self.max_ns));
         HistogramSnapshot {
             buckets,
             sum_ns: self.sum_ns.saturating_sub(prev.sum_ns),
@@ -162,7 +163,9 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Resolve percentiles over the snapshot's buckets.
+    /// Resolve percentiles over the snapshot's buckets, each clamped to
+    /// `max_ns` (a bucket's geometric mean can lie above every sample in
+    /// it).
     ///
     /// An empty snapshot (a window that recorded no samples — e.g. a
     /// query-less barrier window under a delete-heavy scenario) summarizes
@@ -179,7 +182,7 @@ impl HistogramSnapshot {
             for (i, &c) in self.buckets.iter().enumerate() {
                 seen += c;
                 if seen >= target {
-                    return bucket_representative(i);
+                    return bucket_representative(i).min(self.max_ns);
                 }
             }
             self.max_ns
@@ -235,7 +238,8 @@ pub struct ShardStats {
     /// Label slots this shard repaired (Σ per-shard η).
     pub slots_repaired: AtomicU64,
     /// Net slot deltas this shard folded into its own counter partition
-    /// (shard-owned upkeep; 0 when upkeep is coordinator-central).
+    /// (shard-owned upkeep; 0 under the single writer, whose upkeep is
+    /// central).
     pub upkeep_deltas: AtomicU64,
     /// Wall nanoseconds this shard spent on its own counter upkeep.
     pub upkeep_ns: AtomicU64,
@@ -335,8 +339,7 @@ pub struct ServeStats {
     pub slot_deltas_net: AtomicU64,
     /// Barriers honored.
     pub barriers: AtomicU64,
-    /// Boundary-exchange rounds (coordinator-relayed or mesh; 0 under a
-    /// single writer).
+    /// Mesh boundary-exchange rounds (0 under a single writer).
     pub exchange_rounds: AtomicU64,
     /// Envelopes that crossed a shard boundary.
     pub boundary_msgs: AtomicU64,
@@ -360,14 +363,15 @@ pub struct ServeStats {
     /// Channel `send`s spent on flush coordination and boundary delivery
     /// (commands, replies, and peer batches all count 1 each).
     pub channel_hops: AtomicU64,
-    /// Σ over boundary envelopes of the channels each traversed: 2 per
-    /// envelope through the coordinator relay, 1 over the mailbox mesh.
+    /// Σ over boundary envelopes of the channels each traversed — 1 per
+    /// envelope over the mailbox mesh, so this equals `boundary_msgs`
+    /// (counted port-side, independently, as a cross-check).
     pub envelope_hops: AtomicU64,
     /// Inbox depth per delivering mesh round (envelopes drained by one
-    /// shard in one round; empty under the coordinator engine).
+    /// shard in one round; empty under a single writer).
     pub mailbox_depth: LatencyHistogram,
     /// Wall time workers spent parked on the mesh round barrier, per
-    /// shard per flush (empty under the coordinator engine).
+    /// shard per flush (empty under a single writer).
     pub barrier_wait: LatencyHistogram,
     /// Gauge: edges whose endpoints live on different shards.
     pub cut_edges: AtomicU64,
@@ -520,7 +524,7 @@ impl ServeStats {
     /// Deliberately does **not** record into the per-flush `counters`
     /// histogram — that histogram means "central upkeep per flush", and
     /// mixing per-shard per-wave samples in would silently change its
-    /// denominator across engines. Shard-owned upkeep is read from the
+    /// denominator. Shard-owned upkeep is read from the
     /// per-shard `upkeep_deltas` / `upkeep_ns` counters instead.
     pub(crate) fn note_shard_upkeep(&self, shard: usize, net_deltas: u64, took: Duration) {
         let s = &self.shards[shard];
@@ -846,7 +850,7 @@ impl StatsReport {
 
     /// Publish-collect ship ratio: boundary histograms actually shipped
     /// over the ship-everything baseline (0.0 when no collect ran —
-    /// single-writer and coordinator engines).
+    /// single writer).
     pub fn ship_ratio(&self) -> f64 {
         if self.boundary_hists_total == 0 {
             0.0
@@ -1123,6 +1127,33 @@ mod tests {
         assert_eq!(s.p99_ns, 91);
         assert!(s.max_ns >= 100_000);
         assert!(s.mean_ns > 100 && s.mean_ns < 2_000);
+    }
+
+    #[test]
+    fn single_sample_quantiles_never_exceed_the_recorded_max() {
+        // 70 ns lands in bucket 7 = [64, 128), whose geometric mean (91)
+        // lies above the only sample ever recorded.
+        let h = LatencyHistogram::new();
+        h.record(Duration::from_nanos(70));
+        let s = h.summarize();
+        assert_eq!(s.max_ns, 70);
+        assert_eq!((s.p50_ns, s.p90_ns, s.p99_ns), (70, 70, 70));
+    }
+
+    #[test]
+    fn interval_quantiles_never_exceed_the_recorded_max() {
+        // The window's true max is unknown, but the cumulative max bounds
+        // it: neither the interval max nor any interval percentile may
+        // report more than the largest sample ever recorded.
+        let h = LatencyHistogram::new();
+        let t0 = h.snapshot();
+        for ns in [66, 68, 70] {
+            h.record(Duration::from_nanos(ns));
+        }
+        let w = h.snapshot().delta_since(&t0).summarize();
+        assert_eq!(w.count, 3);
+        assert_eq!(w.max_ns, 70);
+        assert_eq!((w.p50_ns, w.p90_ns, w.p99_ns), (70, 70, 70));
     }
 
     #[test]

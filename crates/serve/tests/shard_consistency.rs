@@ -1,13 +1,12 @@
 //! Cross-shard consistency: replaying the same edit log (with barriers)
 //! must yield identical epoch rosters **and bit-identical weight lists**
-//! for every shard count and every exchange transport — and must match
-//! the pre-sharding reference (a plain [`RslpaDetector`] applying the
-//! same batches with full post-processing per epoch).
+//! for every shard count — and must match the pre-sharding reference (a
+//! plain [`RslpaDetector`] applying the same batches with full
+//! post-processing per epoch).
 //!
-//! This is the end-to-end guarantee the sharded maintenance path rests
-//! on: partitioning is a throughput knob, never a semantics knob — and
-//! since PR 5, so is the exchange transport (coordinator-relayed rounds
-//! vs the peer-to-peer mailbox mesh with shard-owned counter upkeep).
+//! This is the end-to-end guarantee the sharded maintenance path (the
+//! peer-to-peer mailbox mesh with shard-owned counter upkeep) rests on:
+//! partitioning is a throughput knob, never a semantics knob.
 //! The runs are genuinely threaded — each service spawns its maintenance
 //! coordinator, and the sharded ones add one worker thread per shard.
 //! Publish-time repartitioning (with counter-partition migration) fires
@@ -19,7 +18,7 @@ use rslpa_gen::edits::uniform_batch;
 use rslpa_gen::lfr::LfrParams;
 use rslpa_gen::{named_scenarios, ChurnScenario};
 use rslpa_graph::{AdjacencyGraph, Cover, DynamicGraph, EditBatch};
-use rslpa_serve::{fingerprint_weights, BarrierOnly, CommunityService, ExchangeMode, ServeConfig};
+use rslpa_serve::{fingerprint_weights, BarrierOnly, CommunityService, ServeConfig};
 
 const ITERATIONS: usize = 25;
 const SEED: u64 = 2024;
@@ -52,18 +51,12 @@ type Epochs = Vec<(Cover, u64)>;
 
 /// Replay the script through a service at `shards`, collecting the roster
 /// and weights fingerprint published at every barrier.
-fn replay_served(
-    graph: AdjacencyGraph,
-    script: &[EditBatch],
-    shards: usize,
-    exchange: ExchangeMode,
-) -> Epochs {
+fn replay_served(graph: AdjacencyGraph, script: &[EditBatch], shards: usize) -> Epochs {
     let service = CommunityService::start(
         graph,
         ServeConfig::quick(ITERATIONS, SEED)
             .with_policy(BarrierOnly)
-            .with_shards(shards)
-            .with_exchange(exchange),
+            .with_shards(shards),
     );
     let ingest = service.ingest();
     let mut epochs = Vec::with_capacity(script.len());
@@ -85,31 +78,22 @@ fn replay_served(
         for (i, s) in report.shards.iter().enumerate() {
             assert!(s.slots_repaired > 0, "shard {i} idle: {report:?}");
         }
-        if exchange == ExchangeMode::Mailbox {
-            // Upkeep must actually be shard-owned: the workers, not the
-            // coordinator, folded the slot deltas.
-            assert!(
-                report.shards.iter().map(|s| s.upkeep_deltas).sum::<u64>() > 0,
-                "no shard-owned upkeep recorded: {report:?}"
-            );
-            // Single-hop delivery, cross-checked through independent
-            // counters: `boundary_msgs` is staged route-side by the
-            // repair states, `envelope_hops` is tallied port-side at the
-            // peer channels — equality means every staged envelope was
-            // sent exactly once and nothing else was.
-            assert!(report.boundary_msgs > 0, "no boundary traffic: {report:?}");
-            assert_eq!(
-                report.envelope_hops, report.boundary_msgs,
-                "mesh delivery must be single-hop: {report:?}"
-            );
-        } else {
-            // The relay touches every envelope twice by construction.
-            assert_eq!(
-                report.envelope_hops,
-                2 * report.boundary_msgs,
-                "coordinator relay is two-hop: {report:?}"
-            );
-        }
+        // Upkeep must actually be shard-owned: the workers, not the
+        // coordinator, folded the slot deltas.
+        assert!(
+            report.shards.iter().map(|s| s.upkeep_deltas).sum::<u64>() > 0,
+            "no shard-owned upkeep recorded: {report:?}"
+        );
+        // Single-hop delivery, cross-checked through independent
+        // counters: `boundary_msgs` is staged route-side by the repair
+        // states, `envelope_hops` is tallied port-side at the peer
+        // channels — equality means every staged envelope was sent
+        // exactly once and nothing else was.
+        assert!(report.boundary_msgs > 0, "no boundary traffic: {report:?}");
+        assert_eq!(
+            report.envelope_hops, report.boundary_msgs,
+            "mesh delivery must be single-hop: {report:?}"
+        );
     }
     epochs
 }
@@ -134,26 +118,24 @@ fn rosters_and_weights_identical_across_shard_counts_and_vs_reference() {
     let graph = seed_graph();
     let script = edit_script(&graph, 8, 40);
     let reference = replay_reference(graph.clone(), &script);
-    for exchange in [ExchangeMode::Mailbox, ExchangeMode::Coordinator] {
-        for shards in [1usize, 2, 4] {
-            let served = replay_served(graph.clone(), &script, shards, exchange);
+    for shards in [1usize, 2, 4] {
+        let served = replay_served(graph.clone(), &script, shards);
+        assert_eq!(
+            served.len(),
+            reference.len(),
+            "{shards} shards: barrier count"
+        );
+        for (epoch, ((served_cover, served_fp), (reference_cover, reference_fp))) in
+            served.iter().zip(&reference).enumerate()
+        {
             assert_eq!(
-                served.len(),
-                reference.len(),
-                "{shards} shards ({exchange:?}): barrier count"
+                served_cover, reference_cover,
+                "{shards} shards roster diverged at barrier {epoch}"
             );
-            for (epoch, ((served_cover, served_fp), (reference_cover, reference_fp))) in
-                served.iter().zip(&reference).enumerate()
-            {
-                assert_eq!(
-                    served_cover, reference_cover,
-                    "{shards} shards ({exchange:?}) roster diverged at barrier {epoch}"
-                );
-                assert_eq!(
-                    served_fp, reference_fp,
-                    "{shards} shards ({exchange:?}) weights diverged at barrier {epoch}"
-                );
-            }
+            assert_eq!(
+                served_fp, reference_fp,
+                "{shards} shards weights diverged at barrier {epoch}"
+            );
         }
     }
 }
@@ -168,8 +150,8 @@ fn eight_shard_mesh_is_deadlock_free_on_one_core() {
     // with the single-writer replay makes the run meaningful.
     let graph = seed_graph();
     let script = edit_script(&graph, 4, 60);
-    let single = replay_served(graph.clone(), &script, 1, ExchangeMode::Mailbox);
-    let meshed = replay_served(graph.clone(), &script, 8, ExchangeMode::Mailbox);
+    let single = replay_served(graph.clone(), &script, 1);
+    let meshed = replay_served(graph.clone(), &script, 8);
     assert_eq!(single, meshed, "8-shard mesh diverged from single writer");
 }
 
@@ -259,18 +241,12 @@ fn scenario_script(
 /// adversarial windows can legitimately leave a shard idle (a cascade
 /// confined to one block, a delete-only window), and idleness is not the
 /// property under test here — bit-identity is.
-fn replay_scenario(
-    graph: AdjacencyGraph,
-    script: &[EditBatch],
-    shards: usize,
-    exchange: ExchangeMode,
-) -> Epochs {
+fn replay_scenario(graph: AdjacencyGraph, script: &[EditBatch], shards: usize) -> Epochs {
     let service = CommunityService::start(
         graph,
         ServeConfig::quick(ITERATIONS, SEED)
             .with_policy(BarrierOnly)
-            .with_shards(shards)
-            .with_exchange(exchange),
+            .with_shards(shards),
     );
     let ingest = service.ingest();
     let mut epochs = Vec::with_capacity(script.len());
@@ -290,38 +266,33 @@ fn replay_scenario(
 }
 
 #[test]
-fn adversarial_scenarios_bit_identical_across_shards_and_engines() {
+fn adversarial_scenarios_bit_identical_across_shards() {
     // The break-it streams must not break determinism: every named
-    // adversarial scenario, replayed at shards {1, 2, 4, 8} under both
-    // exchange transports, publishes bit-identical rosters AND
-    // bit-identical weight lists at every barrier window. Hub pile-ups
-    // (FlashCrowd), truth-churning splits (SplitMergeStorm), delete-only
-    // windows (CascadeDelete), and id-space growth under skew (SkewBurst)
-    // all ride through the same engines the uniform pins cover.
+    // adversarial scenario, replayed at shards {1, 2, 4, 8}, publishes
+    // bit-identical rosters AND bit-identical weight lists at every
+    // barrier window. Hub pile-ups (FlashCrowd), truth-churning splits
+    // (SplitMergeStorm), delete-only windows (CascadeDelete), and
+    // id-space growth under skew (SkewBurst) all ride through the same
+    // engines the uniform pins cover.
     for scenario in &mut named_scenarios(true, 0xC0FFEE) {
         let (graph, script) = scenario_script(scenario.as_mut(), 4);
-        let baseline = replay_scenario(graph.clone(), &script, 1, ExchangeMode::Coordinator);
+        let baseline = replay_scenario(graph.clone(), &script, 1);
         assert_eq!(baseline.len(), script.len());
-        for exchange in [ExchangeMode::Coordinator, ExchangeMode::Mailbox] {
-            for shards in [1usize, 2, 4, 8] {
-                if shards == 1 && exchange == ExchangeMode::Coordinator {
-                    continue; // that's the baseline
-                }
-                let served = replay_scenario(graph.clone(), &script, shards, exchange);
-                for (epoch, (got, want)) in served.iter().zip(&baseline).enumerate() {
-                    assert_eq!(
-                        got.0,
-                        want.0,
-                        "{}: {shards} shards ({exchange:?}) roster diverged at window {epoch}",
-                        scenario.name()
-                    );
-                    assert_eq!(
-                        got.1,
-                        want.1,
-                        "{}: {shards} shards ({exchange:?}) weights diverged at window {epoch}",
-                        scenario.name()
-                    );
-                }
+        for shards in [2usize, 4, 8] {
+            let served = replay_scenario(graph.clone(), &script, shards);
+            for (epoch, (got, want)) in served.iter().zip(&baseline).enumerate() {
+                assert_eq!(
+                    got.0,
+                    want.0,
+                    "{}: {shards} shards roster diverged at window {epoch}",
+                    scenario.name()
+                );
+                assert_eq!(
+                    got.1,
+                    want.1,
+                    "{}: {shards} shards weights diverged at window {epoch}",
+                    scenario.name()
+                );
             }
         }
     }
@@ -359,13 +330,11 @@ fn fresh_vertices_and_churn_stay_consistent_when_sharded() {
         detector.apply_batch(batch).expect("valid batch");
         reference.push(detector.detect().result.cover);
     }
-    for exchange in [ExchangeMode::Mailbox, ExchangeMode::Coordinator] {
-        for shards in [1usize, 4] {
-            let served: Vec<Cover> = replay_served(graph.clone(), &script, shards, exchange)
-                .into_iter()
-                .map(|(cover, _)| cover)
-                .collect();
-            assert_eq!(served, reference, "{shards} shards ({exchange:?})");
-        }
+    for shards in [1usize, 4] {
+        let served: Vec<Cover> = replay_served(graph.clone(), &script, shards)
+            .into_iter()
+            .map(|(cover, _)| cover)
+            .collect();
+        assert_eq!(served, reference, "{shards} shards");
     }
 }

@@ -53,8 +53,8 @@
 //! | `shards` | maintenance shard count (1 = single writer) |
 //! | `shard_edits_routed` | per-shard array: vertex deltas routed to each shard |
 //! | `shard_slots_repaired` | per-shard array: slots each shard repaired |
-//! | `upkeep_per_shard` | object: per-shard `deltas` folded / wall `ns` of shard-owned counter upkeep (zeros when upkeep is coordinator-central) |
-//! | `exchange_rounds` | boundary-exchange rounds (coordinator-relayed or mesh) |
+//! | `upkeep_per_shard` | object: per-shard `deltas` folded / wall `ns` of shard-owned counter upkeep (zeros under the single writer, whose upkeep is central) |
+//! | `exchange_rounds` | mailbox-mesh boundary-exchange rounds (0 under the single writer) |
 //! | `boundary_msgs` | envelopes that crossed a shard boundary |
 //! | `boundary_hists_shipped` | boundary histograms actually shipped to the coordinator at publish (the dirty diff) |
 //! | `boundary_hists_total` | boundary histogram slots a full (non-incremental) collect would have shipped |
@@ -65,7 +65,7 @@
 //! | `dirty_span` | Σ over the same flushes of the vertex count at flush time; `dirty_fraction` = `dirty_vertices`/`dirty_span` (mean per-flush dirty fraction — near 1.0 means incremental repair costs as much as full recompute) |
 //! | `quality_per_window` | array of `{epoch, onmi, f1, omega}` objects recorded by a quality harness (`repro churn`) scoring each published roster against a tracked ground-truth cover; empty when the run is unscored |
 //! | `channel_hops` | channel sends spent on coordination + boundary delivery |
-//! | `envelope_hops` | Σ channels traversed by boundary envelopes (2/envelope via the coordinator relay, 1 over the mailbox mesh) |
+//! | `envelope_hops` | Σ channels traversed by boundary envelopes (1 per envelope over the mailbox mesh, so it equals `boundary_msgs`) |
 //! | `mailbox_depth` | object: `count`/`p50`/`p99`/`max` of envelopes one shard drained per mesh round |
 //! | `barrier_wait_us` | object: `count`/`mean`/`p50`/`p99` of per-flush mesh barrier wait, microseconds |
 //! | `cut_edges` | gauge: edges whose endpoints live on different shards |
@@ -81,13 +81,14 @@
 //! | `saturated_samples` | histogram samples that clamped into the top log₂ bucket (≥ 2⁶³), across all histograms |
 //!
 //! `stats` object, latency summaries (nanoseconds; percentiles resolve to
-//! the geometric mean of the containing log₂ bucket):
+//! the geometric mean of the containing log₂ bucket, clamped to the
+//! recorded max):
 //!
 //! | field group | meaning |
 //! |-------------|---------|
 //! | `query_count`, `query_mean_ns`, `query_p50_ns`, `query_p90_ns`, `query_p99_ns`, `query_max_ns` | read-side query latency (all query kinds pooled) |
 //! | `flush_count`, `flush_mean_ns`, `flush_p50_ns`, `flush_p99_ns` | flush latency: net-batch resolution + incremental repair |
-//! | `counter_mean_ns`, `counter_p50_ns`, `counter_p99_ns` | per-flush **central** edge-weight counter maintenance (delete retirement + slot-delta folding on the maintenance thread); zeros under the mailbox engine, whose shard-owned upkeep is reported in `upkeep_per_shard` |
+//! | `counter_mean_ns`, `counter_p50_ns`, `counter_p99_ns` | per-flush **central** edge-weight counter maintenance (delete retirement + slot-delta folding on the maintenance thread); zeros at `shards > 1`, where the mesh workers own upkeep and report it in `upkeep_per_shard` |
 //! | `snapshot_mean_ns`, `snapshot_p50_ns`, `snapshot_p99_ns` | snapshot publish: counter-read weight pass + thresholding + build + epoch swap |
 
 use std::io::{BufRead, Write};
@@ -118,7 +119,7 @@ fn main() -> ExitCode {
                  \x20 stream   <graph> <edits> [--iterations N] [--seed S] [--detect-every K]\n\
                  \x20 replay   <graph> <edits> [--iterations N] [--seed S] [--flush-size B]\n\
                  \x20          [--snapshot-every K] [--queries-per-edit Q] [--shards W]\n\
-                 \x20          [--engine coordinator|mailbox] [--stats-json FILE] [--trace-out FILE]\n\
+                 \x20          [--stats-json FILE] [--trace-out FILE]\n\
                  \x20          replay an edit log through the live serve loop (blank line = barrier)\n\
                  \x20 generate <lfr|rmat|ba> <size> [--seed S] [--out FILE]"
             );
@@ -346,10 +347,6 @@ fn cmd_replay(args: &[String]) -> CliResult {
     let snapshot_every: usize = opt_parse(&options, "snapshot-every", 1)?;
     let queries_per_edit: usize = opt_parse(&options, "queries-per-edit", 2)?;
     let shards: usize = opt_parse(&options, "shards", 1)?;
-    let engine: rslpa::serve::ExchangeMode = match options.get("engine") {
-        Some(v) => v.parse().map_err(|e| format!("--engine: {e}"))?,
-        None => Default::default(),
-    };
     let trace_out = options.get("trace-out").copied();
     let file = std::fs::File::open(edits_path)?;
     let lines = parse_edit_lines(std::io::BufReader::new(file))?;
@@ -358,8 +355,7 @@ fn cmd_replay(args: &[String]) -> CliResult {
     let mut config = ServeConfig::quick(iterations, seed)
         .with_policy(BySize::new(flush_size))
         .with_snapshot_every(snapshot_every)
-        .with_shards(shards)
-        .with_exchange(engine);
+        .with_shards(shards);
     if trace_out.is_some() {
         config = config.with_trace(rslpa::serve::TraceOptions::default());
     }
