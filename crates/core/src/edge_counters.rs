@@ -61,7 +61,6 @@ fn edge_key(u: VertexId, v: VertexId) -> u64 {
     (u64::from(lo) << 32) | u64::from(hi)
 }
 
-use crate::postprocess::common_labels;
 use crate::rows::{HistRow, HistRows};
 use crate::state::{histogram_of, LabelState};
 
@@ -419,7 +418,7 @@ impl MemAccounted for EdgeCounters {
 /// [`collect_interior`](Self::collect_interior) /
 /// [`boundary_hists`](Self::boundary_hists) replies. A merge of exact
 /// histograms is exact by definition, so the assembled weight list
-/// ([`assemble_partitioned_weights`]) is bit-identical to the central
+/// ([`BoundaryCache::assemble`]) is bit-identical to the central
 /// [`EdgeCounters`] path — both divide the same integer by the same
 /// `(T+1)²`.
 ///
@@ -474,6 +473,31 @@ impl BoundaryShipReport {
         self.shipped += other.shipped;
         self.boundary += other.boundary;
         self.dirty += other.dirty;
+    }
+}
+
+/// One shard's publish-collect reply ([`CounterPartition::collect`]).
+#[derive(Clone, Debug, Default)]
+pub struct PartitionCollect {
+    /// Interior-edge counters, sorted canonically.
+    pub interior: Vec<(VertexId, VertexId, u64)>,
+    /// Dirty-diff boundary histograms, sorted by vertex.
+    pub boundary_hists: Vec<(VertexId, Vec<(Label, u32)>)>,
+    /// Ship accounting of `boundary_hists`.
+    pub ship: BoundaryShipReport,
+}
+
+impl PartitionCollect {
+    /// Approximate payload bytes: interior triples plus shipped
+    /// histograms.
+    pub fn payload_bytes(&self) -> u64 {
+        let triple = std::mem::size_of::<(VertexId, VertexId, u64)>();
+        let hists: usize = self
+            .boundary_hists
+            .iter()
+            .map(|(_, h)| std::mem::size_of::<VertexId>() + std::mem::size_of_val(h.as_slice()))
+            .sum();
+        (self.interior.len() * triple + hists) as u64
     }
 }
 
@@ -678,6 +702,20 @@ impl CounterPartition {
         out
     }
 
+    /// The publish-time reply: [`collect_interior`](Self::collect_interior)
+    /// plus the dirty-diff boundary ship
+    /// ([`dirty_boundary_hists_into`](Self::dirty_boundary_hists_into)).
+    pub fn collect(&mut self, rows: &ShardRepairState) -> PartitionCollect {
+        let interior = self.collect_interior(rows);
+        let mut boundary_hists = Vec::new();
+        let ship = self.dirty_boundary_hists_into(rows, &mut boundary_hists);
+        PartitionCollect {
+            interior,
+            boundary_hists,
+            ship,
+        }
+    }
+
     /// Histograms of this shard's boundary vertices (owned vertices with
     /// at least one off-shard neighbor), sorted by vertex — what the
     /// publish assembly needs to merge boundary edges. Appends into a
@@ -716,8 +754,8 @@ impl CounterPartition {
     /// # Cache-coherence argument
     ///
     /// The coordinator overlays every shipped `(v, hist)` into a
-    /// vertex-keyed cache and hands the whole cache to
-    /// [`assemble_partitioned_weights`], which reads it **only for
+    /// vertex-keyed [`BoundaryCache`], whose
+    /// [`assemble`](BoundaryCache::assemble) reads it **only for
     /// endpoints of cross-shard edges** — i.e. current boundary vertices.
     /// For any such `v` (owned by exactly one shard), after this call:
     ///
@@ -773,53 +811,226 @@ impl MemAccounted for CounterPartition {
     }
 }
 
-/// Stitch per-shard publish contributions into the canonical weight list
-/// for `graph`: interior edges come off the owners' sorted
-/// [`collect_interior`](CounterPartition::collect_interior) lists via one
-/// cursor per shard; boundary edges are merged from the shipped endpoint
-/// histograms. Bit-identical to the central
-/// [`EdgeCounters::refresh_weights`] — every numerator is the same exact
-/// integer, divided by the same `m²`.
-pub fn assemble_partitioned_weights(
-    graph: &AdjacencyGraph,
-    owner_of: impl Fn(VertexId) -> usize,
-    m: usize,
-    interior: &[Vec<(VertexId, VertexId, u64)>],
-    boundary_hists: &FxHashMap<VertexId, Vec<(Label, u32)>>,
-) -> Vec<(VertexId, VertexId, f64)> {
-    let mm = m as f64 * m as f64;
-    let mut cursors = vec![0usize; interior.len()];
-    let mut wlist = Vec::with_capacity(graph.num_edges());
-    for (u, v) in graph.edges() {
-        debug_assert!(u < v, "edges() must yield canonical pairs");
-        let (ou, ov) = (owner_of(u), owner_of(v));
-        let c = if ou == ov {
-            let cur = &mut cursors[ou];
-            let (iu, iv, c) = interior[ou][*cur];
-            debug_assert_eq!((iu, iv), (u, v), "interior cursor drifted");
-            *cur += 1;
-            c
-        } else {
-            let fu = &boundary_hists[&u];
-            let fv = &boundary_hists[&v];
-            common_labels(fu, fv)
-        };
-        wlist.push((u, v, c as f64 / mm));
+/// Accounting of one [`BoundaryCache::assemble`] walk.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AssemblyReport {
+    /// Cut edges (endpoints on different shards) in the walked graph —
+    /// what a memo-less assembly merges every publish.
+    pub cut_edges: u64,
+    /// Cut edges actually merged: new to the memo, or with an endpoint
+    /// whose cached histogram changed since the memo entry was computed.
+    /// `merged <= cut_edges` always holds.
+    pub merged: u64,
+}
+
+/// The publish coordinator's half of the partitioned weight pass: the
+/// boundary-histogram cache that dirty-diff collects overlay onto, plus a
+/// memo of every cut edge's merged numerator.
+///
+/// Interior edges carry streaming counters on their owning shard; a cut
+/// edge has none and its numerator `common_labels(f_u, f_v)` is merged at
+/// publish from the two cached endpoint histograms. Most cut edges'
+/// histograms did not change since the last publish, so their merge would
+/// reproduce last publish's integer. [`assemble`](Self::assemble) reuses
+/// it instead.
+///
+/// # Version rule
+///
+/// Every vertex carries the version of its cached histogram: the epoch of
+/// the next assembly, stamped on every [`insert`](Self::insert) (a ship)
+/// and every [`remove`](Self::remove) (a migration eviction). A memo entry
+/// `edge → (common, computed_at)` is reused iff both endpoints' versions
+/// are `≤ computed_at` — neither cached histogram has been touched since
+/// the entry was verified, so `common_labels` of the current cache
+/// entries is exactly the stored integer. Anything else (a re-shipped
+/// endpoint, an evicted one, an edge never seen) is merged afresh and the
+/// entry rewritten. The rule depends on histogram identity only, never on
+/// the edge's history: an edge deleted and re-inserted, an endpoint that
+/// migrated out and back, or an edge that went cut → interior → cut all
+/// reuse exactly when both cached histograms are the ones the entry was
+/// merged from.
+///
+/// The memo holds exactly the cut edges of the last walk, sorted by the
+/// packed key `(lo << 32) | hi` — the order [`AdjacencyGraph::edges`]
+/// yields — so the walk reads it with one forward cursor instead of a
+/// hash lookup per cut edge, and rebuilding it each walk sweeps entries
+/// of edges that are no longer cut edges for free.
+///
+/// A fresh, empty cache is the memo-less full merge; the tests use one
+/// as the reference.
+#[derive(Clone, Debug, Default)]
+pub struct BoundaryCache {
+    /// Vertex → the histogram its owner last shipped.
+    hists: FxHashMap<VertexId, Vec<(Label, u32)>>,
+    /// Dense per-vertex histogram versions (0 = never touched).
+    versions: Vec<u32>,
+    /// Epoch of the last assembly; inserts and removes stamp `epoch + 1`.
+    epoch: u32,
+    /// `(edge_key, common, computed_at)` per cut edge, ascending by key.
+    memo: Vec<(u64, u64, u32)>,
+    /// Dense `label → count` table of one histogram, all zero between
+    /// merges; see [`assemble`](Self::assemble).
+    probe: Vec<u32>,
+}
+
+impl BoundaryCache {
+    /// An empty cache: the first assembly merges every cut edge.
+    pub fn new() -> Self {
+        Self::default()
     }
-    debug_assert!(
-        cursors
-            .iter()
-            .zip(interior)
-            .all(|(&c, list)| c == list.len()),
-        "interior weights left unconsumed"
-    );
-    wlist
+
+    /// Cut-edge numerators currently memoized: the last walk's cut edges.
+    pub fn memo_len(&self) -> usize {
+        self.memo.len()
+    }
+
+    fn touch(&mut self, v: VertexId) {
+        let i = v as usize;
+        if i >= self.versions.len() {
+            self.versions.resize(i + 1, 0);
+        }
+        self.versions[i] = self.epoch.wrapping_add(1);
+    }
+
+    /// Overlay a shipped histogram for `v`.
+    pub fn insert(&mut self, v: VertexId, hist: Vec<(Label, u32)>) {
+        self.touch(v);
+        self.hists.insert(v, hist);
+    }
+
+    /// Evict `v` (its owner changes; the adopter re-ships it).
+    pub fn remove(&mut self, v: VertexId) {
+        if self.hists.remove(&v).is_some() {
+            self.touch(v);
+        }
+    }
+
+    /// Stitch per-shard publish contributions into the canonical weight
+    /// list for `graph`: interior edges come off the owners' sorted
+    /// [`collect_interior`](CounterPartition::collect_interior) lists via
+    /// one cursor per shard; cut edges reuse their memoized numerator or
+    /// are merged from the cached endpoint histograms (see the version
+    /// rule above). Bit-identical to the central
+    /// [`EdgeCounters::refresh_weights`] — every numerator is the same
+    /// exact integer, divided by the same `m²`.
+    pub fn assemble(
+        &mut self,
+        graph: &AdjacencyGraph,
+        owner_of: impl Fn(VertexId) -> usize,
+        m: usize,
+        interior: &[Vec<(VertexId, VertexId, u64)>],
+    ) -> (Vec<(VertexId, VertexId, f64)>, AssemblyReport) {
+        if self.epoch == u32::MAX {
+            // Versions are about to wrap: start over with an empty memo.
+            self.memo.clear();
+            self.versions.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let now = self.epoch;
+        let old = std::mem::take(&mut self.memo);
+        let mut memo = Vec::with_capacity(old.len());
+        let mut at = 0usize;
+        // Cut-edge merges probe a dense table of the lower endpoint `u`'s
+        // histogram once per label of `v`'s — the same exact integer as
+        // `common_labels(f_u, f_v)`, without its branchy two-list merge.
+        // The walk visits all of `u`'s edges in a row, so a hub whose
+        // histogram re-shipped loads its table once for all of them.
+        let mut loaded: Option<VertexId> = None;
+        let (hists, versions, probe) = (&self.hists, &self.versions, &mut self.probe);
+        let version = |v: VertexId| versions.get(v as usize).copied().unwrap_or(0);
+        let mm = m as f64 * m as f64;
+        let mut report = AssemblyReport::default();
+        let mut cursors = vec![0usize; interior.len()];
+        let mut wlist = Vec::with_capacity(graph.num_edges());
+        for (u, v) in graph.edges() {
+            debug_assert!(u < v, "edges() must yield canonical pairs");
+            let (ou, ov) = (owner_of(u), owner_of(v));
+            let c = if ou == ov {
+                let cur = &mut cursors[ou];
+                let (iu, iv, c) = interior[ou][*cur];
+                debug_assert_eq!((iu, iv), (u, v), "interior cursor drifted");
+                *cur += 1;
+                c
+            } else {
+                report.cut_edges += 1;
+                let key = edge_key(u, v);
+                // Keys ascend with the walk; skipped entries are edges no
+                // longer cut (or gone), dropped by the rebuild.
+                while old.get(at).is_some_and(|e| e.0 < key) {
+                    at += 1;
+                }
+                let c = match old.get(at) {
+                    Some(&(k, c, computed_at))
+                        if k == key && version(u) <= computed_at && version(v) <= computed_at =>
+                    {
+                        c
+                    }
+                    _ => {
+                        report.merged += 1;
+                        if loaded != Some(u) {
+                            if let Some(w) = loaded {
+                                fill_probe(probe, &hists[&w], false);
+                            }
+                            fill_probe(probe, &hists[&u], true);
+                            loaded = Some(u);
+                        }
+                        hists[&v]
+                            .iter()
+                            .map(|&(l, c)| {
+                                u64::from(probe.get(l as usize).copied().unwrap_or(0))
+                                    * u64::from(c)
+                            })
+                            .sum()
+                    }
+                };
+                debug_assert!(memo.last().is_none_or(|e: &(u64, u64, u32)| e.0 < key));
+                memo.push((key, c, now));
+                c
+            };
+            wlist.push((u, v, c as f64 / mm));
+        }
+        debug_assert!(
+            cursors
+                .iter()
+                .zip(interior)
+                .all(|(&c, list)| c == list.len()),
+            "interior weights left unconsumed"
+        );
+        if let Some(w) = loaded {
+            fill_probe(probe, &hists[&w], false);
+        }
+        self.memo = memo;
+        (wlist, report)
+    }
+}
+
+/// Write `hist`'s counts into the dense `probe` table (`load`), or zero
+/// them again.
+fn fill_probe(probe: &mut Vec<u32>, hist: &[(Label, u32)], load: bool) {
+    if let Some(&(top, _)) = hist.last() {
+        if probe.len() <= top as usize {
+            probe.resize(top as usize + 1, 0);
+        }
+    }
+    for &(l, c) in hist {
+        probe[l as usize] = if load { c } else { 0 };
+    }
+}
+
+impl Extend<(VertexId, Vec<(Label, u32)>)> for BoundaryCache {
+    /// [`insert`](Self::insert) every shipped `(v, histogram)`.
+    fn extend<I: IntoIterator<Item = (VertexId, Vec<(Label, u32)>)>>(&mut self, iter: I) {
+        for (v, hist) in iter {
+            self.insert(v, hist);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::postprocess::edge_weights;
+    use crate::postprocess::{common_labels, edge_weights};
     use crate::propagation::run_propagation;
 
     fn assert_weights_equal(a: &[(VertexId, VertexId, f64)], b: &[(VertexId, VertexId, f64)]) {
@@ -998,11 +1209,232 @@ mod tests {
         assert_eq!(counters.num_vertices(), 5);
     }
 
+    /// The cut-edge memo against a fresh-cache assembly, one test per
+    /// hazard, under a hand-driven dirty-diff publish loop.
+    mod memo {
+        use super::*;
+
+        const M: usize = 4;
+
+        /// Two shards, per-vertex histograms summing to `M`, the
+        /// dirty-diff ship rule (a boundary vertex ships iff the cache
+        /// does not hold its current histogram; migration evicts), and
+        /// one persistent [`BoundaryCache`].
+        struct Coordinator {
+            graph: AdjacencyGraph,
+            owner: Vec<usize>,
+            hists: Vec<Vec<(Label, u32)>>,
+            shipped: FxHashMap<VertexId, Vec<(Label, u32)>>,
+            cache: BoundaryCache,
+        }
+
+        impl Coordinator {
+            /// Two triangles `{0,1,2}` (shard 0) and `{3,4,5}` (shard 1)
+            /// bridged by the cut edges `(2,3)` and `(1,3)`.
+            fn new() -> Self {
+                let graph = AdjacencyGraph::from_edges(
+                    6,
+                    [
+                        (0, 1),
+                        (1, 2),
+                        (0, 2),
+                        (3, 4),
+                        (4, 5),
+                        (3, 5),
+                        (2, 3),
+                        (1, 3),
+                    ],
+                );
+                let hists = (0..6u32)
+                    .map(|v| vec![(0, 1 + v % 3), (1, 3 - v % 3)])
+                    .collect();
+                Self {
+                    graph,
+                    owner: vec![0, 0, 0, 1, 1, 1],
+                    hists,
+                    shipped: FxHashMap::default(),
+                    cache: BoundaryCache::new(),
+                }
+            }
+
+            fn common(&self, u: VertexId, v: VertexId) -> u64 {
+                common_labels(&self.hists[u as usize], &self.hists[v as usize])
+            }
+
+            fn set_hist(&mut self, v: VertexId, hist: Vec<(Label, u32)>) {
+                assert_eq!(hist.iter().map(|e| e.1 as usize).sum::<usize>(), M);
+                self.hists[v as usize] = hist;
+            }
+
+            fn migrate(&mut self, v: VertexId, to: usize) {
+                self.owner[v as usize] = to;
+                self.cache.remove(v);
+                self.shipped.remove(&v);
+            }
+
+            /// One publish: ship, assemble through the memo and through a
+            /// fresh cache, and require the two bit for bit.
+            fn publish(&mut self) -> AssemblyReport {
+                let mut fresh = BoundaryCache::new();
+                let mut interior = vec![Vec::new(); 2];
+                let owner = &self.owner;
+                for (u, v) in self.graph.edges() {
+                    if owner[u as usize] == owner[v as usize] {
+                        interior[owner[u as usize]].push((u, v, self.common(u, v)));
+                    }
+                }
+                for v in 0..self.owner.len() as VertexId {
+                    let boundary = self
+                        .graph
+                        .neighbors(v)
+                        .iter()
+                        .any(|&w| owner[w as usize] != owner[v as usize]);
+                    if !boundary {
+                        continue;
+                    }
+                    let hist = &self.hists[v as usize];
+                    fresh.insert(v, hist.clone());
+                    if self.shipped.get(&v) != Some(hist) {
+                        self.cache.insert(v, hist.clone());
+                        self.shipped.insert(v, hist.clone());
+                    }
+                }
+                let owner_of = |v: VertexId| owner[v as usize];
+                let (got, report) = self.cache.assemble(&self.graph, owner_of, M, &interior);
+                let (want, full) = fresh.assemble(&self.graph, owner_of, M, &interior);
+                assert_weights_equal(&got, &want);
+                // Both equal the two-list `common_labels` merge per edge.
+                let merged: Vec<_> = self
+                    .graph
+                    .edges()
+                    .map(|(u, v)| (u, v, self.common(u, v) as f64 / (M * M) as f64))
+                    .collect();
+                assert_weights_equal(&want, &merged);
+                assert_eq!(
+                    full.merged, full.cut_edges,
+                    "a fresh cache merges every cut edge"
+                );
+                assert_eq!(report.cut_edges, full.cut_edges);
+                assert!(report.merged <= report.cut_edges);
+                assert!(self.cache.memo_len() as u64 <= report.cut_edges);
+                report
+            }
+        }
+
+        #[test]
+        fn quiescent_reassembly_merges_nothing() {
+            let mut c = Coordinator::new();
+            assert_eq!(c.publish().merged, 2);
+            assert_eq!(c.publish().merged, 0);
+            // A re-ship of one endpoint re-merges exactly its cut edges.
+            c.set_hist(1, vec![(0, 4)]);
+            assert_eq!(c.publish().merged, 1);
+        }
+
+        #[test]
+        fn deleted_reshipped_and_reinserted_cut_edge_is_remerged() {
+            let mut c = Coordinator::new();
+            c.publish();
+            let stale = c.common(2, 3);
+            // Deleted; 3's histogram changes and ships (3 stays boundary
+            // through (1,3)) while the edge is absent; then re-inserted.
+            c.graph.remove_edge(2, 3);
+            c.set_hist(3, vec![(0, 4)]);
+            assert_ne!(c.common(2, 3), stale, "the change must move the numerator");
+            assert_eq!(c.publish().merged, 1, "only (1,3) is cut, and 3 re-shipped");
+            c.graph.insert_edge(2, 3);
+            assert_eq!(c.publish().merged, 1, "(2,3) is new to the memo");
+            // The same cycle inside one publish interval: the memo entry
+            // survives, and 3's version is what forces the re-merge.
+            let stale = c.common(2, 3);
+            c.graph.remove_edge(2, 3);
+            c.set_hist(3, vec![(1, 4)]);
+            assert_ne!(c.common(2, 3), stale);
+            c.graph.insert_edge(2, 3);
+            assert_eq!(c.publish().merged, 2);
+        }
+
+        #[test]
+        fn vertex_migrating_out_and_back_is_remerged() {
+            let mut c = Coordinator::new();
+            c.publish();
+            // 2 moves to shard 1 — (2,3) turns interior, (0,2) and (1,2)
+            // turn cut — and its histogram changes there.
+            c.migrate(2, 1);
+            c.set_hist(2, vec![(0, 2), (1, 1), (2, 1)]);
+            let r = c.publish();
+            assert_eq!((r.cut_edges, r.merged), (3, 2), "(1,3) is reused");
+            // Back home with a new histogram again, within one interval
+            // and with no change at all.
+            c.migrate(2, 0);
+            c.set_hist(2, vec![(2, 4)]);
+            c.publish();
+            c.migrate(2, 1);
+            c.migrate(2, 0);
+            let r = c.publish();
+            assert_eq!(r.merged, 1, "only (2,3) reads the evicted vertex");
+            assert_eq!(c.publish().merged, 0);
+        }
+
+        #[test]
+        fn edge_going_cut_interior_cut_with_changing_histograms_is_remerged() {
+            let mut c = Coordinator::new();
+            c.publish();
+            let stale = c.common(2, 3);
+            // 3 joins shard 0, so (2,3) is interior and 2 (neighbors 0, 1,
+            // 3) is no longer boundary: its histogram changes unshipped,
+            // and the cache keeps the old copy.
+            c.migrate(3, 0);
+            c.set_hist(2, vec![(0, 1), (1, 1), (2, 2)]);
+            c.publish();
+            // 2 (never migrated) follows 3's old route out instead: (2,3)
+            // is cut again, and 2 must re-ship before it is read.
+            c.set_hist(3, vec![(2, 4)]);
+            c.migrate(2, 1);
+            assert_ne!(c.common(2, 3), stale);
+            c.publish();
+            // Within one interval: 3 back to shard 1 makes (2,3) interior,
+            // 3 back to shard 0 makes it cut again, while 2's histogram
+            // changes on a vertex that never left.
+            c.migrate(3, 1);
+            c.set_hist(2, vec![(1, 4)]);
+            c.migrate(3, 0);
+            let r = c.publish();
+            assert!(r.merged >= 1);
+        }
+
+        #[test]
+        fn version_wrap_starts_over_with_an_empty_memo() {
+            let mut c = Coordinator::new();
+            c.publish();
+            c.cache.epoch = u32::MAX - 1;
+            c.publish();
+            c.set_hist(3, vec![(0, 4)]);
+            c.publish(); // the wrap: epoch hits u32::MAX, then resets
+            c.set_hist(2, vec![(1, 4)]);
+            c.publish();
+            assert_eq!(c.publish().merged, 0);
+        }
+    }
+
     mod partition {
         use super::*;
         use crate::shard::ShardRepairState;
         use rslpa_graph::{DynamicGraph, EditBatch, HashPartitioner, Partitioner};
         use std::sync::Arc;
+
+        /// A fresh cache holding every boundary histogram: the
+        /// ship-everything, memo-less reference.
+        fn full_ship(
+            shards: &[ShardRepairState],
+            partitions: &mut [CounterPartition],
+        ) -> BoundaryCache {
+            let mut cache = BoundaryCache::new();
+            for (rows, p) in shards.iter().zip(partitions.iter_mut()) {
+                cache.extend(p.boundary_hists(rows));
+            }
+            cache
+        }
 
         fn run_partitioned(
             parts: usize,
@@ -1093,18 +1525,11 @@ mod tests {
                 .zip(partitions.iter_mut())
                 .map(|(rows, p)| p.collect_interior(rows))
                 .collect();
-            let mut bh: FxHashMap<VertexId, Vec<(Label, u32)>> = FxHashMap::default();
-            for (rows, p) in shards.iter().zip(partitions.iter_mut()) {
-                for (v, hist) in p.boundary_hists(rows) {
-                    bh.insert(v, hist);
-                }
-            }
-            let assembled = assemble_partitioned_weights(
+            let (assembled, _) = full_ship(&shards, &mut partitions).assemble(
                 dg.graph(),
                 |v| partitioner.assign(v),
                 t_max + 1,
                 &interior,
-                &bh,
             );
             let reference = central.refresh_weights(dg.graph());
             assert_weights_equal(&reference, &edge_weights(dg.graph(), &central_state));
@@ -1171,14 +1596,8 @@ mod tests {
                 .zip(partitions.iter_mut())
                 .map(|(rows, p)| p.collect_interior(rows))
                 .collect();
-            let mut bh: FxHashMap<VertexId, Vec<(Label, u32)>> = FxHashMap::default();
-            for (rows, p) in shards.iter().zip(partitions.iter_mut()) {
-                for (v, hist) in p.boundary_hists(rows) {
-                    bh.insert(v, hist);
-                }
-            }
-            let assembled =
-                assemble_partitioned_weights(&g, |v| p_new.assign(v), 7, &interior, &bh);
+            let (assembled, _) =
+                full_ship(&shards, &mut partitions).assemble(&g, |v| p_new.assign(v), 7, &interior);
             assert_weights_equal(&assembled, &central.refresh_weights(&g));
         }
     }

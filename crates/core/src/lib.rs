@@ -49,7 +49,8 @@ pub use barrier::{SenseBarrier, WaitReport};
 pub use config::{DampingConfig, RslpaConfig};
 pub use detector::{DetectionResult, RslpaDetector};
 pub use edge_counters::{
-    assemble_partitioned_weights, BoundaryShipReport, CounterPartition, EdgeCounters,
+    AssemblyReport, BoundaryCache, BoundaryShipReport, CounterPartition, EdgeCounters,
+    PartitionCollect,
 };
 pub use incremental::{apply_correction, apply_correction_damped, CascadeDamper, UpdateReport};
 pub use postprocess::{postprocess, PostprocessResult};

@@ -180,7 +180,7 @@ impl IncrementalPostprocess {
 /// Run the threshold-selection + extraction tail of post-processing over
 /// an already-assembled weight list — the publish path of engines whose
 /// weights come from partitioned counter stores
-/// ([`assemble_partitioned_weights`](crate::edge_counters::assemble_partitioned_weights))
+/// ([`BoundaryCache::assemble`](crate::edge_counters::BoundaryCache::assemble))
 /// rather than a central [`EdgeCounters`]. Bit-identical to
 /// [`refresh`](IncrementalPostprocess::refresh) on the same weights: the
 /// τ2 / τ1 / extraction stages are shared verbatim.

@@ -13,10 +13,12 @@
 //!   deliver envelopes peer-to-peer over a [`build_mesh`] and each shard
 //!   folds its own deltas into its own [`CounterPartition`]; publish
 //!   barriers assemble interior counters + boundary-histogram merges via
-//!   [`assemble_partitioned_weights`]. Each publish also runs the
-//!   **dirty-diff** collect (ship only changed boundary histograms onto
-//!   a persistent coordinator cache, evicted on migration) and asserts
-//!   it assembles the identical weight list.
+//!   [`BoundaryCache::assemble`] on a fresh cache (ship everything, merge
+//!   every cut edge). Each publish also runs the **dirty-diff** collect
+//!   (ship only changed boundary histograms onto a persistent
+//!   [`BoundaryCache`], evicted on migration, whose cut-edge memo reuses
+//!   unchanged numerators) and asserts it assembles the identical weight
+//!   list.
 //!
 //! Both must equal the centralized repair engine plus the full merge
 //! pass, under random edit/migration/barrier interleavings — any drift
@@ -28,11 +30,11 @@ use proptest::prelude::*;
 use rslpa_core::postprocess::edge_weights;
 use rslpa_core::shard::{build_mesh, Envelope, ShardRepairState};
 use rslpa_core::{
-    apply_correction, assemble_partitioned_weights, run_propagation, CounterPartition, EdgeCounters,
+    apply_correction, run_propagation, BoundaryCache, CounterPartition, EdgeCounters,
 };
 use rslpa_graph::{
-    compact_slot_deltas, AdjacencyGraph, DynamicGraph, EditBatch, FxHashMap, FxHashSet,
-    HashPartitioner, Label, Partitioner, SlotDelta, VertexId,
+    compact_slot_deltas, AdjacencyGraph, DynamicGraph, EditBatch, FxHashSet, HashPartitioner,
+    Partitioner, SlotDelta, VertexId,
 };
 
 /// Vertex-id space: three 4-cliques (0..12) plus two initially isolated
@@ -186,42 +188,55 @@ fn exercise(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: usize)
 /// The dirty-diff collect the mailbox engine runs at publish: every shard
 /// ships only boundary histograms changed since its last ship (plus
 /// first-time boundary entrants) and the coordinator overlays them onto a
-/// persistent `cache`. The assembled weight list must be bit-identical to
-/// the full-ship path's — that is the coherence contract between the
-/// worker-side `shipped`/`dirty` sets and the coordinator cache.
-fn assemble_dirty(
+/// persistent `cache`, whose memo skips cut edges with no re-shipped
+/// endpoint. The assembled weight list must be bit-identical to the
+/// full-ship path's — that is the coherence contract between the
+/// worker-side `shipped`/`dirty` sets, the coordinator cache and its memo.
+/// A fresh `cache` makes this the full-ship path itself.
+fn assemble_shipped(
     shards: &[ShardRepairState],
     partitions: &mut [CounterPartition],
-    cache: &mut FxHashMap<VertexId, Vec<(Label, u32)>>,
+    cache: &mut BoundaryCache,
     graph: &AdjacencyGraph,
     p: &Arc<dyn Partitioner>,
+    dirty_diff: bool,
 ) -> Vec<(VertexId, VertexId, f64)> {
-    let interior: Vec<Vec<(VertexId, VertexId, u64)>> = shards
-        .iter()
-        .zip(partitions.iter_mut())
-        .map(|(rows, part)| part.collect_interior(rows))
-        .collect();
+    let mut interior = Vec::new();
     for (rows, part) in shards.iter().zip(partitions.iter_mut()) {
-        let mut out = Vec::new();
-        let report = part.dirty_boundary_hists_into(rows, &mut out);
-        assert!(
-            report.shipped <= report.dirty,
-            "shipped {} histograms but only {} were dirty-marked",
-            report.shipped,
-            report.dirty
-        );
-        assert!(
-            report.shipped <= report.boundary,
-            "shipped {} histograms off a {}-vertex boundary",
-            report.shipped,
-            report.boundary
-        );
-        for (v, hist) in out {
-            cache.insert(v, hist);
+        if !dirty_diff {
+            interior.push(part.collect_interior(rows));
+            cache.extend(part.boundary_hists(rows));
+            continue;
         }
+        let collect = part.collect(rows);
+        let ship = collect.ship;
+        assert!(
+            ship.shipped <= ship.dirty,
+            "shipped {} histograms but only {} were dirty-marked",
+            ship.shipped,
+            ship.dirty
+        );
+        assert!(
+            ship.shipped <= ship.boundary,
+            "shipped {} histograms off a {}-vertex boundary",
+            ship.shipped,
+            ship.boundary
+        );
+        interior.push(collect.interior);
+        cache.extend(collect.boundary_hists);
     }
-    let p = Arc::clone(p);
-    assemble_partitioned_weights(graph, move |v| p.assign(v), T_MAX + 1, &interior, cache)
+    let (wlist, report) = cache.assemble(graph, |v| p.assign(v), T_MAX + 1, &interior);
+    assert!(
+        report.merged <= report.cut_edges,
+        "merged {} of {} cut edges",
+        report.merged,
+        report.cut_edges
+    );
+    assert!(
+        cache.memo_len() as u64 <= report.cut_edges,
+        "memo outgrew the cut"
+    );
+    wlist
 }
 
 /// The PR 5 harness: peer-to-peer delivery over a real threaded mesh,
@@ -245,27 +260,22 @@ fn exercise_mesh(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: u
         .map(|rows| CounterPartition::carve(&genesis, rows))
         .collect();
     let mut ports = build_mesh(parts);
-    // Coordinator-side boundary-histogram cache for the dirty-diff
-    // collect, persistent across publishes, evicted on migration.
-    let mut cache: FxHashMap<VertexId, Vec<(Label, u32)>> = FxHashMap::default();
-
+    // Coordinator-side boundary cache for the dirty-diff collect,
+    // persistent across publishes, evicted on migration.
+    let mut cache = BoundaryCache::new();
+    // The full-ship reference: a fresh cache, every boundary histogram.
     let assemble = |shards: &[ShardRepairState],
                     partitions: &mut [CounterPartition],
                     graph: &AdjacencyGraph,
                     p: &Arc<dyn Partitioner>| {
-        let interior: Vec<Vec<(VertexId, VertexId, u64)>> = shards
-            .iter()
-            .zip(partitions.iter_mut())
-            .map(|(rows, part)| part.collect_interior(rows))
-            .collect();
-        let mut boundary: FxHashMap<VertexId, Vec<(Label, u32)>> = FxHashMap::default();
-        for (rows, part) in shards.iter().zip(partitions.iter_mut()) {
-            for (v, hist) in part.boundary_hists(rows) {
-                boundary.insert(v, hist);
-            }
-        }
-        let p = Arc::clone(p);
-        assemble_partitioned_weights(graph, move |v| p.assign(v), T_MAX + 1, &interior, &boundary)
+        assemble_shipped(
+            shards,
+            partitions,
+            &mut BoundaryCache::new(),
+            graph,
+            p,
+            false,
+        )
     };
 
     for (round, (pairs, control)) in rounds.iter().enumerate() {
@@ -286,7 +296,7 @@ fn exercise_mesh(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: u
                 partition.drop_vertices(&leaving);
                 // The coordinator invalidates its cache for migrating
                 // vertices; the adopter marks them dirty and re-ships.
-                for v in &leaving {
+                for &v in &leaving {
                     cache.remove(v);
                 }
                 for (v, row) in shard.extract_rows(&leaving) {
@@ -349,12 +359,13 @@ fn exercise_mesh(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: u
                 &reference,
             );
             assert_weights_equal(
-                &assemble_dirty(
+                &assemble_shipped(
                     &shards,
                     &mut partitions,
                     &mut cache,
                     dg.graph(),
                     &partitioner,
+                    true,
                 ),
                 &reference,
             );
@@ -366,12 +377,13 @@ fn exercise_mesh(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: u
         &reference,
     );
     assert_weights_equal(
-        &assemble_dirty(
+        &assemble_shipped(
             &shards,
             &mut partitions,
             &mut cache,
             dg.graph(),
             &partitioner,
+            true,
         ),
         &reference,
     );

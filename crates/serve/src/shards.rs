@@ -17,8 +17,9 @@
 //!   shard actually staged boundary traffic (interior flushes never wake
 //!   idle shards). At publish, workers ship their interior-edge counters
 //!   and boundary-vertex histograms, and the coordinator assembles the
-//!   canonical weight list ([`assemble_partitioned_weights`]) — boundary
-//!   edges are merged there, per the cross-shard edge ownership rule.
+//!   canonical weight list ([`BoundaryCache::assemble`]) — cut edges are
+//!   merged there, per the cross-shard edge ownership rule, unless a
+//!   memoized numerator is still current.
 //!
 //! Both engines produce **bit-identical** label state, weights, and
 //! rosters for the same batch sequence (pinned by `rslpa_core::shard` /
@@ -35,15 +36,15 @@ use rslpa_core::shard::{
     VertexRowData,
 };
 use rslpa_core::{
-    assemble_partitioned_weights, result_from_weights, CounterPartition, IncrementalPostprocess,
+    result_from_weights, BoundaryCache, CounterPartition, IncrementalPostprocess, PartitionCollect,
     PostprocessResult, RslpaConfig, RslpaDetector,
 };
 use rslpa_graph::sharding::split_deltas;
+use rslpa_graph::Cover;
 use rslpa_graph::{
-    AdjacencyGraph, AppliedBatch, BoundaryTracker, DynamicGraph, EditBatch, FxHashMap, FxHashSet,
-    HubPull, MemAccounted, MemFootprint, Partitioner, PlannedPartitioner, SlotDelta, VertexId,
+    AdjacencyGraph, AppliedBatch, BoundaryTracker, DynamicGraph, EditBatch, FxHashSet, HubPull,
+    MemAccounted, MemFootprint, Partitioner, PlannedPartitioner, SlotDelta, VertexId,
 };
-use rslpa_graph::{Cover, Label};
 use rslpa_trace::{names, TraceWriter, Tracer};
 
 use crate::stats::ServeStats;
@@ -110,8 +111,7 @@ enum MeshReply {
     },
     Collected {
         shard: usize,
-        interior: Vec<(VertexId, VertexId, u64)>,
-        boundary_hists: Vec<(VertexId, Vec<(Label, u32)>)>,
+        collect: PartitionCollect,
     },
     Extracted {
         rows: Vec<(VertexId, VertexRowData)>,
@@ -268,31 +268,18 @@ fn run_mesh_worker(
             }
             MeshCmd::Collect => {
                 let _span = trace.span(names::COLLECT);
-                let interior = counters.collect_interior(&state);
                 // Ship only the boundary histograms that changed since the
                 // last collect (plus first-time boundary entrants); the
                 // coordinator overlays them onto its cache.
-                let mut boundary_hists = Vec::new();
-                let ship = counters.dirty_boundary_hists_into(&state, &mut boundary_hists);
-                let bytes = interior.len() as u64
-                    * std::mem::size_of::<(VertexId, VertexId, u64)>() as u64
-                    + boundary_hists
-                        .iter()
-                        .map(|(_, h)| {
-                            (std::mem::size_of::<VertexId>()
-                                + h.len() * std::mem::size_of::<(Label, u32)>())
-                                as u64
-                        })
-                        .sum::<u64>();
+                let collect = counters.collect(&state);
+                let ship = collect.ship;
+                let bytes = collect.payload_bytes();
                 stats.note_collect(ship.shipped, ship.boundary, ship.dirty, bytes);
-                if replies
-                    .send(MeshReply::Collected {
-                        shard: idx,
-                        interior,
-                        boundary_hists,
-                    })
-                    .is_err()
-                {
+                let reply = MeshReply::Collected {
+                    shard: idx,
+                    collect,
+                };
+                if replies.send(reply).is_err() {
                     break;
                 }
             }
@@ -374,12 +361,10 @@ pub(crate) struct MailboxEngine {
     draws: usize,
     /// τ1 grid threaded into publish-time threshold selection.
     grid: Option<f64>,
-    /// Publish-time boundary-histogram cache: vertex → the histogram its
-    /// owner last shipped. Workers ship only dirty diffs at collect; this
-    /// overlay reconstructs the full map `assemble_partitioned_weights`
-    /// needs. Entries are evicted when their vertex migrates — the
-    /// adopter marks it dirty and re-ships at the next collect.
-    hist_cache: FxHashMap<VertexId, Vec<(Label, u32)>>,
+    /// Publish-time boundary-histogram cache plus cut-edge memo: workers
+    /// ship dirty diffs onto it at collect; a migrating vertex is evicted
+    /// and re-shipped dirty by its adopter.
+    boundary_cache: BoundaryCache,
     /// Which shards reported parked (damped) cascade work after their
     /// last command. The flush wake rule normally skips shards with no
     /// routed deltas; a shard with pending work gets a possibly-empty
@@ -389,9 +374,9 @@ pub(crate) struct MailboxEngine {
     pending_shards: Vec<bool>,
     /// Sticky publish failure: once a worker dies mid-collect, the
     /// shipped/dirty bookkeeping on the surviving workers no longer
-    /// matches `hist_cache` (their diffs were consumed but never cached),
-    /// so every later publish must fail too rather than assemble from a
-    /// stale overlay.
+    /// matches `boundary_cache` (their diffs were consumed but never
+    /// cached), so every later publish must fail too rather than assemble
+    /// from a stale overlay.
     failed: Option<String>,
     /// Poison handle for the workers' round barrier: unblocks peers
     /// parked mid-exchange when a worker dies or the engine unwinds.
@@ -495,7 +480,7 @@ impl RepairEngine {
                 applied: AppliedBatch::default(),
                 draws: config.iterations + 1,
                 grid: config.tau1_grid,
-                hist_cache: FxHashMap::default(),
+                boundary_cache: BoundaryCache::new(),
                 pending_shards: vec![false; shards],
                 failed: None,
                 poisoner,
@@ -773,10 +758,10 @@ impl MailboxEngine {
 
     /// Publish-time weight assembly: collect every worker's interior-edge
     /// counters and **dirty** boundary-vertex histograms, overlay the
-    /// diffs onto the persistent `hist_cache`, stitch the canonical
-    /// weight list (boundary edges merged here, per the ownership rule),
-    /// and run threshold selection + extraction. The cache makes the map
-    /// handed to [`assemble_partitioned_weights`] identical to what a
+    /// diffs onto the persistent `boundary_cache`, stitch the canonical
+    /// weight list (cut edges merged here, per the ownership rule, when
+    /// an endpoint was re-shipped or the edge is new to the memo), and
+    /// run threshold selection + extraction. The cache holds what a
     /// ship-everything collect would build: an entry is only *absent*
     /// from a worker's diff when that worker already shipped the current
     /// histogram (its `shipped` set mirrors this cache), and migration
@@ -814,15 +799,9 @@ impl MailboxEngine {
                     Err(why) => return Err(self.fail(why)),
                 };
                 match reply {
-                    MeshReply::Collected {
-                        shard,
-                        interior: part,
-                        boundary_hists: hists,
-                    } => {
-                        interior[shard] = part;
-                        for (v, hist) in hists {
-                            self.hist_cache.insert(v, hist);
-                        }
+                    MeshReply::Collected { shard, collect } => {
+                        interior[shard] = collect.interior;
+                        self.boundary_cache.extend(collect.boundary_hists);
                     }
                     _ => {
                         return Err(
@@ -835,14 +814,11 @@ impl MailboxEngine {
         stats.note_channel_hops(hops);
         let _span = trace.span(names::PUBLISH_WEIGHTS);
         let graph = self.graph.graph();
-        let partitioner = Arc::clone(&self.partitioner);
-        let wlist = assemble_partitioned_weights(
-            graph,
-            |v| partitioner.assign(v),
-            self.draws,
-            &interior,
-            &self.hist_cache,
-        );
+        let partitioner = &self.partitioner;
+        let (wlist, report) =
+            self.boundary_cache
+                .assemble(graph, |v| partitioner.assign(v), self.draws, &interior);
+        stats.note_boundary_merge(report.merged, report.cut_edges);
         Ok(result_from_weights(graph.num_vertices(), wlist, self.grid))
     }
 
@@ -873,7 +849,7 @@ impl MailboxEngine {
                 // old owner forgets them (`drop_vertices`) and the adopter
                 // marks them dirty, so the next collect re-ships a fresh
                 // histogram to fill this slot back in.
-                self.hist_cache.remove(&v);
+                self.boundary_cache.remove(v);
             }
         }
         // Even a zero-move re-plan installs the new map everywhere:
@@ -928,7 +904,7 @@ impl MailboxEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
+    use crate::stats::StatsReport;
 
     fn mesh_engine(shards: usize) -> (RepairEngine, IncrementalPostprocess, Arc<ServeStats>) {
         let graph = AdjacencyGraph::from_edges(
@@ -988,33 +964,45 @@ mod tests {
         // must not hang the test.
     }
 
-    /// The dirty-diff collect ships every boundary histogram once, then
-    /// nothing while the label state is quiescent — and the detection
-    /// output stays bit-identical to the first (full) collect's.
-    #[test]
-    fn quiescent_collect_ships_no_histograms() {
+    /// Two back-to-back publishes with no edit between them: the stats
+    /// after each, with the detection output required bit-identical.
+    fn quiescent_publishes() -> (StatsReport, StatsReport) {
         let (mut engine, mut postprocess, stats) = mesh_engine(2);
         let trace = Arc::new(Tracer::disabled()).writer(0);
         let first = engine.refresh(&mut postprocess, &stats, &trace).unwrap();
-        let shipped = stats.boundary_hists_shipped.load(Ordering::Relaxed);
-        let total = stats.boundary_hists_total.load(Ordering::Relaxed);
-        assert!(shipped > 0, "first collect ships the full boundary");
-        assert_eq!(
-            shipped, total,
-            "nothing was cached before the first collect"
-        );
+        let after_first = stats.report();
         let second = engine.refresh(&mut postprocess, &stats, &trace).unwrap();
-        assert_eq!(
-            stats.boundary_hists_shipped.load(Ordering::Relaxed),
-            shipped,
-            "no label changed, so no histogram re-ships"
-        );
-        assert_eq!(
-            stats.boundary_hists_total.load(Ordering::Relaxed),
-            2 * total,
-            "the ship-everything baseline doubles"
-        );
         assert_eq!(first.cover, second.cover, "cache-assembled cover drifted");
+        assert_eq!(
+            first.weights, second.weights,
+            "cache-assembled weights drifted"
+        );
+        (after_first, stats.report())
+    }
+
+    /// The dirty-diff collect ships every boundary histogram once, then
+    /// nothing while the label state is quiescent, while the
+    /// ship-everything baseline doubles.
+    #[test]
+    fn quiescent_collect_ships_no_histograms() {
+        let (one, two) = quiescent_publishes();
+        assert!(one.boundary_hists_shipped > 0);
+        assert_eq!(one.boundary_hists_shipped, one.boundary_hists_total);
+        assert_eq!(two.boundary_hists_shipped, one.boundary_hists_shipped);
+        assert_eq!(two.boundary_hists_total, 2 * one.boundary_hists_total);
+    }
+
+    /// The cut-edge memo merges every cut edge once, then none while no
+    /// histogram re-ships, while the cut-edge count doubles.
+    #[test]
+    fn quiescent_publish_remerges_no_cut_edges() {
+        let (one, two) = quiescent_publishes();
+        assert!(one.boundary_edges_total > 0);
+        assert_eq!(one.boundary_edges_merged, one.boundary_edges_total);
+        assert_eq!(two.boundary_edges_merged, one.boundary_edges_merged);
+        assert_eq!(two.boundary_edges_total, 2 * one.boundary_edges_total);
+        assert!(two.boundary_edges_merged <= two.boundary_edges_total);
+        assert_eq!(two.boundary_merge_ratio(), 0.5);
     }
 }
 

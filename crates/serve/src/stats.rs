@@ -5,7 +5,7 @@
 //! percentile read never stops the world. Percentiles are resolved to the
 //! *geometric mean* of the containing bucket's bounds — the unbiased
 //! representative of a log₂ bucket (the upper bound would overstate
-//! latencies by up to 2×).
+//! latencies by up to 2×) — clamped to the recorded min and max.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -34,6 +34,8 @@ pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_ns: AtomicU64,
+    /// Smallest sample; `u64::MAX` while empty.
+    min_ns: AtomicU64,
     max_ns: AtomicU64,
     saturated: AtomicU64,
 }
@@ -44,6 +46,7 @@ impl Default for LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
+            min_ns: AtomicU64::new(u64::MAX),
             max_ns: AtomicU64::new(0),
             saturated: AtomicU64::new(0),
         }
@@ -76,6 +79,11 @@ impl LatencyHistogram {
         self.buckets[idx.min(BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(value, Ordering::Relaxed);
+        // The min almost never moves: a plain load keeps the hot read
+        // path off a compare-and-swap loop.
+        if value < self.min_ns.load(Ordering::Relaxed) {
+            self.min_ns.fetch_min(value, Ordering::Relaxed);
+        }
         self.max_ns.fetch_max(value, Ordering::Relaxed);
     }
 
@@ -97,6 +105,7 @@ impl LatencyHistogram {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
+            min_ns: self.min_ns.load(Ordering::Relaxed),
             max_ns: self.max_ns.load(Ordering::Relaxed),
             saturated: self.saturated.load(Ordering::Relaxed),
         }
@@ -116,6 +125,7 @@ impl LatencyHistogram {
 pub struct HistogramSnapshot {
     buckets: [u64; BUCKETS],
     sum_ns: u64,
+    min_ns: u64,
     max_ns: u64,
     saturated: u64,
 }
@@ -125,6 +135,7 @@ impl Default for HistogramSnapshot {
         Self {
             buckets: [0; BUCKETS],
             sum_ns: 0,
+            min_ns: u64::MAX,
             max_ns: 0,
             saturated: 0,
         }
@@ -147,25 +158,31 @@ impl HistogramSnapshot {
     /// is approximated by the representative of its highest occupied
     /// bucket, capped at the cumulative max — the true max of just this
     /// window is not recoverable from cumulative counters, but it can
-    /// never exceed the largest sample ever recorded.
+    /// never exceed the largest sample ever recorded, nor fall below the
+    /// smallest. Its `min_ns` mirrors that: the lowest occupied bucket's
+    /// representative, raised to the cumulative min and never above the
+    /// interval max.
     pub fn delta_since(&self, prev: &HistogramSnapshot) -> HistogramSnapshot {
         let buckets: [u64; BUCKETS] =
             std::array::from_fn(|i| self.buckets[i].saturating_sub(prev.buckets[i]));
-        let max_ns = buckets
-            .iter()
-            .rposition(|&c| c > 0)
-            .map_or(0, |i| bucket_representative(i).min(self.max_ns));
+        let max_ns = buckets.iter().rposition(|&c| c > 0).map_or(0, |i| {
+            bucket_representative(i).max(self.min_ns).min(self.max_ns)
+        });
+        let min_ns = buckets.iter().position(|&c| c > 0).map_or(u64::MAX, |i| {
+            bucket_representative(i).max(self.min_ns).min(max_ns)
+        });
         HistogramSnapshot {
             buckets,
             sum_ns: self.sum_ns.saturating_sub(prev.sum_ns),
+            min_ns,
             max_ns,
             saturated: self.saturated.saturating_sub(prev.saturated),
         }
     }
 
     /// Resolve percentiles over the snapshot's buckets, each clamped to
-    /// `max_ns` (a bucket's geometric mean can lie above every sample in
-    /// it).
+    /// `[min_ns, max_ns]` (a bucket's geometric mean can lie above or
+    /// below every sample in it).
     ///
     /// An empty snapshot (a window that recorded no samples — e.g. a
     /// query-less barrier window under a delete-heavy scenario) summarizes
@@ -182,7 +199,9 @@ impl HistogramSnapshot {
             for (i, &c) in self.buckets.iter().enumerate() {
                 seen += c;
                 if seen >= target {
-                    return bucket_representative(i).min(self.max_ns);
+                    // The max clamp applies last: a snapshot racing a
+                    // first recording may read `min_ns` still unset.
+                    return bucket_representative(i).max(self.min_ns).min(self.max_ns);
                 }
             }
             self.max_ns
@@ -357,6 +376,13 @@ pub struct ServeStats {
     /// Approximate payload bytes of publish-collect replies (interior
     /// counter triples + shipped histograms).
     pub collect_bytes: AtomicU64,
+    /// Cut edges whose weight numerator publish assembly actually merged
+    /// from the two endpoint histograms: new to the coordinator's memo,
+    /// or with an endpoint re-shipped since (≤ `boundary_edges_total`).
+    pub boundary_edges_merged: AtomicU64,
+    /// Cut edges publish assembly walked (Σ cut edges over all mesh
+    /// publishes — what a memo-less assembly would merge).
+    pub boundary_edges_total: AtomicU64,
     /// Publishes abandoned because a shard worker died; the snapshot is
     /// skipped and the epoch stays dirty.
     pub publish_failures: AtomicU64,
@@ -402,6 +428,15 @@ pub struct ServeStats {
     pub trace_dropped_records: AtomicU64,
     /// Distinct vertices whose stored labels changed, summed over all
     /// non-empty flushes (the dirty-region numerator).
+    ///
+    /// Exact and run-to-run stable under the single writer. At
+    /// `shards > 1` it is **schedule-dependent**: a vertex whose label
+    /// changes and changes back within one flush counts as dirty or not
+    /// depending on the order mesh envelopes arrive, so the count (and
+    /// `dirty_fraction`) can move in the 4th significant digit from one
+    /// run to the next. Rosters and weights stay bit-identical; treat the
+    /// sharded value as approximate and gate it with a ceiling, never an
+    /// exact pin.
     pub dirty_vertices: AtomicU64,
     /// Σ over the same flushes of the vertex count at flush time (the
     /// dirty-region denominator; `dirty_vertices / dirty_span` is the
@@ -466,6 +501,8 @@ impl ServeStats {
             boundary_hists_total: AtomicU64::new(0),
             boundary_dirty_marked: AtomicU64::new(0),
             collect_bytes: AtomicU64::new(0),
+            boundary_edges_merged: AtomicU64::new(0),
+            boundary_edges_total: AtomicU64::new(0),
             publish_failures: AtomicU64::new(0),
             channel_hops: AtomicU64::new(0),
             envelope_hops: AtomicU64::new(0),
@@ -563,6 +600,13 @@ impl ServeStats {
         bump!(self.boundary_hists_total, boundary_total);
         bump!(self.boundary_dirty_marked, dirty);
         bump!(self.collect_bytes, bytes);
+    }
+
+    /// One mesh publish's assembly: cut edges merged afresh, out of the
+    /// cut edges walked.
+    pub(crate) fn note_boundary_merge(&self, merged: u64, total: u64) {
+        bump!(self.boundary_edges_merged, merged);
+        bump!(self.boundary_edges_total, total);
     }
 
     /// A publish was abandoned because a shard worker died.
@@ -684,6 +728,8 @@ impl ServeStats {
             boundary_hists_total: self.boundary_hists_total.load(Ordering::Relaxed),
             boundary_dirty_marked: self.boundary_dirty_marked.load(Ordering::Relaxed),
             collect_bytes: self.collect_bytes.load(Ordering::Relaxed),
+            boundary_edges_merged: self.boundary_edges_merged.load(Ordering::Relaxed),
+            boundary_edges_total: self.boundary_edges_total.load(Ordering::Relaxed),
             publish_failures: self.publish_failures.load(Ordering::Relaxed),
             channel_hops: self.channel_hops.load(Ordering::Relaxed),
             envelope_hops: self.envelope_hops.load(Ordering::Relaxed),
@@ -778,6 +824,10 @@ pub struct StatsReport {
     pub boundary_dirty_marked: u64,
     /// See [`ServeStats::collect_bytes`].
     pub collect_bytes: u64,
+    /// See [`ServeStats::boundary_edges_merged`].
+    pub boundary_edges_merged: u64,
+    /// See [`ServeStats::boundary_edges_total`].
+    pub boundary_edges_total: u64,
     /// See [`ServeStats::publish_failures`].
     pub publish_failures: u64,
     /// See [`ServeStats::channel_hops`].
@@ -858,6 +908,17 @@ impl StatsReport {
             self.boundary_hists_shipped as f64 / self.boundary_hists_total as f64
         }
     }
+
+    /// Publish-assembly merge ratio: cut edges merged afresh over the cut
+    /// edges walked (0.0 when no mesh publish ran — single writer).
+    pub fn boundary_merge_ratio(&self) -> f64 {
+        if self.boundary_edges_total == 0 {
+            0.0
+        } else {
+            self.boundary_edges_merged as f64 / self.boundary_edges_total as f64
+        }
+    }
+
     /// Render as a JSON object fragment (no external deps; all fields are
     /// numbers, so no escaping is needed). The shape is versioned via
     /// `schema_version`; version 2 added the `attribution_per_shard`
@@ -872,7 +933,8 @@ impl StatsReport {
     /// version 5 added the hub-aware repartition counters `hub_pulls` /
     /// `repartition_vertices_moved` (an alias of `vertices_migrated`),
     /// the damping counter `damped_deferrals`, and the per-window degree
-    /// gauge `max_degree_delta`.
+    /// gauge `max_degree_delta`; version 6 added the publish-assembly
+    /// counters `boundary_edges_merged` / `boundary_edges_total`.
     pub fn to_json(&self) -> String {
         let quality = self
             .quality_per_window
@@ -907,7 +969,7 @@ impl StatsReport {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"schema_version\":5,\
+            "{{\"schema_version\":6,\
              \"edits_enqueued\":{},\"edits_applied\":{},\"edits_rejected\":{},\
              \"batches_flushed\":{},\"snapshots_published\":{},\"slots_repaired\":{},\
              \"slot_deltas_net\":{},\"barriers\":{},\
@@ -921,6 +983,7 @@ impl StatsReport {
              \"exchange_rounds\":{},\"boundary_msgs\":{},\
              \"boundary_hists_shipped\":{},\"boundary_hists_total\":{},\
              \"boundary_dirty_marked\":{},\"collect_bytes\":{},\
+             \"boundary_edges_merged\":{},\"boundary_edges_total\":{},\
              \"publish_failures\":{},\
              \"dirty_vertices\":{},\"dirty_span\":{},\"dirty_fraction\":{:.6},\
              \"quality_per_window\":[{}],\
@@ -968,6 +1031,8 @@ impl StatsReport {
             self.boundary_hists_total,
             self.boundary_dirty_marked,
             self.collect_bytes,
+            self.boundary_edges_merged,
+            self.boundary_edges_total,
             self.publish_failures,
             self.dirty_vertices,
             self.dirty_span,
@@ -1058,6 +1123,13 @@ impl std::fmt::Display for StatsReport {
                     self.collect_bytes as f64 / 1024.0,
                     self.publish_failures,
                 )?;
+                writeln!(
+                    f,
+                    "publish assembly: {} of {} cut edges merged ({:.1}%)",
+                    self.boundary_edges_merged,
+                    self.boundary_edges_total,
+                    self.boundary_merge_ratio() * 100.0,
+                )?;
             }
             for (i, s) in self.shards.iter().enumerate() {
                 writeln!(
@@ -1116,8 +1188,11 @@ mod tests {
     #[test]
     fn percentiles_are_bucket_geometric_means() {
         let h = LatencyHistogram::new();
-        for _ in 0..99 {
-            h.record(Duration::from_nanos(100)); // bucket 7 = [64, 128)
+        // Bucket 7 = [64, 128); the 70 ns sample keeps the bucket's
+        // geometric mean inside the recorded [min, max].
+        h.record(Duration::from_nanos(70));
+        for _ in 0..98 {
+            h.record(Duration::from_nanos(100));
         }
         h.record(Duration::from_micros(100)); // ~1e5 ns
         let s = h.summarize();
@@ -1138,6 +1213,24 @@ mod tests {
         let s = h.summarize();
         assert_eq!(s.max_ns, 70);
         assert_eq!((s.p50_ns, s.p90_ns, s.p99_ns), (70, 70, 70));
+    }
+
+    #[test]
+    fn quantiles_never_fall_below_the_recorded_min() {
+        // 100 and 120 ns both land in bucket 7 = [64, 128), whose
+        // geometric mean (91) lies below every sample ever recorded.
+        let h = LatencyHistogram::new();
+        let t0 = h.snapshot();
+        for ns in [100, 120] {
+            h.record(Duration::from_nanos(ns));
+        }
+        let s = h.summarize();
+        assert_eq!((s.p50_ns, s.p90_ns, s.p99_ns), (100, 100, 100));
+        assert_eq!(s.max_ns, 120);
+        // An interval view is bounded below by the cumulative min too.
+        let w = h.snapshot().delta_since(&t0).summarize();
+        assert!(w.p50_ns >= 100, "interval p50 = {}", w.p50_ns);
+        assert!(w.p50_ns <= w.max_ns, "interval p50 {} > max", w.p50_ns);
     }
 
     #[test]
@@ -1163,8 +1256,11 @@ mod tests {
         assert_eq!(bucket_representative(1), 1); // √(1·2) ≈ 1.41 → 1
         assert_eq!(bucket_representative(7), 91); // √(64·128) ≈ 90.51
         assert_eq!(bucket_representative(11), 1448); // √(1024·2048)
-                                                     // 2 µs sample lands in bucket 11 → 1448 ns, within √2 of truth.
+
+        // 1.1 and 2 µs samples land in bucket 11 → 1448 ns, within √2 of
+        // either.
         let h = LatencyHistogram::new();
+        h.record(Duration::from_nanos(1_100));
         h.record(Duration::from_nanos(2_000));
         assert_eq!(h.summarize().p50_ns, 1448);
         // The old upper-bound rule for bucket 21 reported 2²¹−1 exactly;
@@ -1303,7 +1399,7 @@ mod tests {
         assert!((s0.attribution_coverage() - 0.99).abs() < 1e-9);
         assert_eq!(r.shards[1].attribution_coverage(), 0.0);
         let json = r.to_json();
-        assert!(json.starts_with("{\"schema_version\":5,"));
+        assert!(json.starts_with("{\"schema_version\":6,"));
         assert!(json.contains("\"attribution_per_shard\":{\"work_us\":[600.0,0.0]"));
         assert!(json.contains("\"barrier_wait_us\":[150.0,0.0]"));
         assert!(json.contains("\"barrier_arrive_us\":[100.0,0.0]"));
@@ -1334,6 +1430,20 @@ mod tests {
         // repartition_vertices_moved aliases vertices_migrated.
         assert!(json.contains("\"vertices_migrated\":7"));
         assert!(json.contains("\"repartition_vertices_moved\":7"));
+    }
+
+    #[test]
+    fn boundary_merge_counters_roll_into_json() {
+        let stats = ServeStats::with_shards(2);
+        assert_eq!(stats.report().boundary_merge_ratio(), 0.0);
+        stats.note_boundary_merge(30, 120);
+        stats.note_boundary_merge(0, 120);
+        let r = stats.report();
+        assert_eq!((r.boundary_edges_merged, r.boundary_edges_total), (30, 240));
+        assert!((r.boundary_merge_ratio() - 0.125).abs() < 1e-12);
+        let json = r.to_json();
+        assert!(json.contains("\"boundary_edges_merged\":30"));
+        assert!(json.contains("\"boundary_edges_total\":240"));
     }
 
     #[test]

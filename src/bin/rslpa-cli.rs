@@ -41,7 +41,7 @@
 //!
 //! | field | meaning |
 //! |-------|---------|
-//! | `schema_version` | shape version of this object; 2 added `attribution_per_shard`, `trace_dropped_records`, and `saturated_samples`; 3 split barrier attribution into arrive/depart and added the publish-collect counters (`boundary_hists_*`, `collect_bytes`, `publish_failures`); 4 added the dirty-region counters (`dirty_vertices`, `dirty_span`, `dirty_fraction`) and `quality_per_window`; 5 added the hot-spot counters (`repartition_vertices_moved`, `hub_pulls`, `damped_deferrals`, `max_degree_delta`) |
+//! | `schema_version` | shape version of this object; 2 added `attribution_per_shard`, `trace_dropped_records`, and `saturated_samples`; 3 split barrier attribution into arrive/depart and added the publish-collect counters (`boundary_hists_*`, `collect_bytes`, `publish_failures`); 4 added the dirty-region counters (`dirty_vertices`, `dirty_span`, `dirty_fraction`) and `quality_per_window`; 5 added the hot-spot counters (`repartition_vertices_moved`, `hub_pulls`, `damped_deferrals`, `max_degree_delta`); 6 added the publish-assembly counters (`boundary_edges_merged`, `boundary_edges_total`) |
 //! | `edits_enqueued` | ops accepted into the ingestion queue |
 //! | `edits_applied` | ops that survived net-resolution and hit the graph |
 //! | `edits_rejected` | no-op ops (duplicate insert, absent delete, self-loop) |
@@ -60,9 +60,11 @@
 //! | `boundary_hists_total` | boundary histogram slots a full (non-incremental) collect would have shipped |
 //! | `boundary_dirty_marked` | boundary vertices dirty at ship time plus first-time ships; `boundary_hists_shipped` ≤ this always holds (the CI gate) |
 //! | `collect_bytes` | approximate bytes of interior-counter + boundary-histogram payload shipped at publish |
+//! | `boundary_edges_merged` | cut edges whose weight numerator publish assembly merged afresh from the endpoint histograms: new to the coordinator's memo, or with an endpoint re-shipped since; ≤ `boundary_edges_total` |
+//! | `boundary_edges_total` | Σ cut edges walked over all mesh publishes — what a memo-less assembly would merge (both 0 under the single writer) |
 //! | `publish_failures` | publishes abandoned because a mesh worker died or stopped responding (the previous snapshot stays served) |
 //! | `dirty_vertices` | Σ over non-empty flushes of distinct vertices whose stored labels changed (the dirty region) |
-//! | `dirty_span` | Σ over the same flushes of the vertex count at flush time; `dirty_fraction` = `dirty_vertices`/`dirty_span` (mean per-flush dirty fraction — near 1.0 means incremental repair costs as much as full recompute) |
+//! | `dirty_span` | Σ over the same flushes of the vertex count at flush time; `dirty_fraction` = `dirty_vertices`/`dirty_span` (mean per-flush dirty fraction — near 1.0 means incremental repair costs as much as full recompute). At `shards > 1` it is schedule-dependent in the 4th digit: a vertex whose label changes and changes back within one flush counts as dirty or not depending on envelope arrival order; rosters and weights are unaffected |
 //! | `quality_per_window` | array of `{epoch, onmi, f1, omega}` objects recorded by a quality harness (`repro churn`) scoring each published roster against a tracked ground-truth cover; empty when the run is unscored |
 //! | `channel_hops` | channel sends spent on coordination + boundary delivery |
 //! | `envelope_hops` | Σ channels traversed by boundary envelopes (1 per envelope over the mailbox mesh, so it equals `boundary_msgs`) |
@@ -82,7 +84,7 @@
 //!
 //! `stats` object, latency summaries (nanoseconds; percentiles resolve to
 //! the geometric mean of the containing log₂ bucket, clamped to the
-//! recorded max):
+//! recorded min and max):
 //!
 //! | field group | meaning |
 //! |-------------|---------|
