@@ -9,24 +9,17 @@
 //! affected vertices (Algorithm 2 Phase A) and drains the resulting
 //! cascade as far as it runs inside the shard. Corrections that cross a
 //! partition boundary become [`ShardMsg`]s addressed to the owner of the
-//! remote vertex. Two transports deliver them:
-//!
-//! * **coordinator-mediated rounds** (the pre-mesh path, kept as the
-//!   baseline): workers hand their outboxes back to a coordinator, which
-//!   regroups them by owner and sends each shard its inbox — two channel
-//!   hops per active shard per round, and every envelope crosses two
-//!   channels;
-//! * **the peer-to-peer mailbox mesh** ([`MailboxPort`]): every worker
-//!   holds a direct channel to every peer and delivers its outbox itself
-//!   (one hop per envelope). Rounds synchronize on a shared
-//!   sense-reversing barrier ([`SenseBarrier`]) and terminate by a
-//!   monotone sent-envelope counter: **one** barrier wait per round, with
-//!   the last arriver (the leader) publishing the counter snapshot from
-//!   inside the barrier's pre-release closure. Nobody can be sending while
-//!   the leader reads (all ports have arrived), and nobody can read a
-//!   stale snapshot (the release publishes it), so all ports agree —
-//!   without any coordinator traffic or second barrier — on whether
-//!   anything was sent and when to stop.
+//! remote vertex, delivered over the peer-to-peer mailbox mesh
+//! ([`MailboxPort`]): every worker holds a direct channel to every peer
+//! and delivers its outbox itself (one hop per envelope). Rounds
+//! synchronize on a shared sense-reversing barrier ([`SenseBarrier`]) and
+//! terminate by a monotone sent-envelope counter: **one** barrier wait per
+//! round, with the last arriver (the leader) publishing the counter
+//! snapshot from inside the barrier's pre-release closure. Nobody can be
+//! sending while the leader reads (all ports have arrived), and nobody can
+//! read a stale snapshot (the release publishes it), so all ports agree —
+//! without any coordinator traffic or second barrier — on whether
+//! anything was sent and when to stop.
 //!
 //! The protocol is the same three-message scheme as the BSP vertex program
 //! ([`crate::incremental_bsp`]): `Unrecord` detaches a stale receiver
@@ -38,7 +31,9 @@
 //! unique — independent of shard count, message ordering, transport, and
 //! how eagerly a shard drains its local cascade. The tests below pin that
 //! claim against the centralized [`apply_correction`](crate::incremental)
-//! bit for bit, for both transports.
+//! bit for bit, both over the mesh and through `run_shards`, a
+//! single-threaded test harness that regroups each round's outboxes by
+//! owner in a loop instead of exchanging them over channels.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};

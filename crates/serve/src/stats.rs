@@ -7,6 +7,7 @@
 //! representative of a log₂ bucket (the upper bound would overstate
 //! latencies by up to 2×) — clamped to the recorded min and max.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -248,65 +249,374 @@ impl std::fmt::Display for LatencySummary {
     }
 }
 
-/// Per-shard monotone counters (sharded maintenance only; a single-writer
-/// service has exactly one entry).
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Per-vertex edit deltas routed to this shard.
-    pub edits_routed: AtomicU64,
-    /// Label slots this shard repaired (Σ per-shard η).
-    pub slots_repaired: AtomicU64,
-    /// Net slot deltas this shard folded into its own counter partition
-    /// (shard-owned upkeep; 0 under the single writer, whose upkeep is
-    /// central).
-    pub upkeep_deltas: AtomicU64,
-    /// Wall nanoseconds this shard spent on its own counter upkeep.
-    pub upkeep_ns: AtomicU64,
-    /// Wall nanoseconds this shard's worker spent actively processing
-    /// commands (flush waves, exchange stepping, collects, migration),
-    /// *excluding* barrier parks and counter upkeep.
-    pub work_ns: AtomicU64,
-    /// Wall nanoseconds the worker spent blocked on its command sub-queue
-    /// waiting for the coordinator (the "mailbox wait").
-    pub mailbox_wait_ns: AtomicU64,
-    /// Wall nanoseconds the worker spent parked at mesh round barriers.
-    pub barrier_wait_ns: AtomicU64,
-    /// Of `barrier_wait_ns`, the arrive phase: parked until the round's
-    /// last participant arrived (straggler / load-imbalance cost).
-    pub barrier_arrive_ns: AtomicU64,
-    /// Of `barrier_wait_ns`, the depart phase: between the leader's
-    /// release and this worker resuming (wakeup/scheduling latency —
-    /// dominates when workers outnumber cores).
-    pub barrier_depart_ns: AtomicU64,
-    /// Gauge: total wall nanoseconds of the worker's command loop, set
-    /// once at shutdown. `work + mailbox_wait + barrier_wait + upkeep`
-    /// should account for ≥ 90% of it — the rest is loop bookkeeping.
-    pub wall_ns: AtomicU64,
+/// Shape version of [`StatsReport::to_json`]; the history is in the
+/// [`StatsReport`] docs.
+const SCHEMA_VERSION: u32 = 7;
+
+/// What one registry entry's kind expands to: its storage and report
+/// types, how a report reads it, how many saturated histogram samples it
+/// holds, its JSON entry, and its schema-table row and keys. Counters and
+/// gauges are both one `AtomicU64` (a gauge is stored, a counter bumped);
+/// a histogram's JSON is written by hand, since each has its own shape.
+macro_rules! stat_kind {
+    (store histogram) => { LatencyHistogram };
+    (store $scalar:ident) => { AtomicU64 };
+    (report histogram) => { LatencySummary };
+    (report $scalar:ident) => { u64 };
+    (read histogram $h:expr) => { $h.summarize() };
+    (read $scalar:ident $c:expr) => { $c.load(Ordering::Relaxed) };
+    (saturated histogram $h:expr) => { $h.saturated_samples() };
+    (saturated $scalar:ident $c:expr) => { 0 };
+    (json histogram $o:ident $field:ident $v:expr) => {};
+    (json $scalar:ident $o:ident $field:ident $v:expr) => {
+        $o.entry(stringify!($field), $v);
+    };
+    (name counter) => { "counter" };
+    (name gauge) => { "gauge" };
+    (name histogram) => { "histogram" };
+    // A scalar's JSON key is its field name; a histogram lists its keys.
+    (keys $field:ident) => { [stringify!($field)] };
+    (keys $field:ident [$($key:literal),+]) => { [$($key),+] };
+    (row $kind:ident $field:ident $help:literal) => {
+        concat!("| `", stringify!($field), "` | ", stat_kind!(name $kind), " | ", $help, " |")
+    };
+    (row $kind:ident $field:ident [$key0:literal $(, $key:literal)*] $help:literal) => {
+        concat!(
+            "| `", $key0, "`", $(", `", $key, "`",)*
+            " | ", stat_kind!(name $kind), " | ", $help, " |"
+        )
+    };
 }
 
-/// Plain point-in-time view of one shard's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardCounts {
-    /// See [`ShardStats::edits_routed`].
-    pub edits_routed: u64,
-    /// See [`ShardStats::slots_repaired`].
-    pub slots_repaired: u64,
-    /// See [`ShardStats::upkeep_deltas`].
-    pub upkeep_deltas: u64,
-    /// See [`ShardStats::upkeep_ns`].
-    pub upkeep_ns: u64,
-    /// See [`ShardStats::work_ns`].
-    pub work_ns: u64,
-    /// See [`ShardStats::mailbox_wait_ns`].
-    pub mailbox_wait_ns: u64,
-    /// See [`ShardStats::barrier_wait_ns`].
-    pub barrier_wait_ns: u64,
-    /// See [`ShardStats::barrier_arrive_ns`].
-    pub barrier_arrive_ns: u64,
-    /// See [`ShardStats::barrier_depart_ns`].
-    pub barrier_depart_ns: u64,
-    /// See [`ShardStats::wall_ns`].
-    pub wall_ns: u64,
+/// Expands the stats registry (invoked once, below) into [`ServeStats`],
+/// [`StatsReport`], [`ShardStats`] and [`ShardCounts`], the report's
+/// reads, the scalar entries of [`StatsReport::to_json`] and the schema
+/// table on [`StatsReport`].
+///
+/// * `serve` lists every [`ServeStats`] field in field order as
+///   `kind field [keys]: "help";` under its extra `///` docs. The help is
+///   the field's first doc line and its schema-table meaning.
+/// * `shard` lists every [`ShardStats`] counter in field order.
+/// * `json_only` documents the keys `to_json` writes by hand: the
+///   version, per-shard arrays, derived ratios and quality windows.
+macro_rules! stats_registry {
+    (
+        serve {$(
+            $(#[doc = $doc:literal])*
+            $kind:ident $field:ident $([$key0:literal $(, $key:literal)*])?: $help:literal;
+        )*}
+        shard {$(
+            $(#[doc = $sdoc:literal])*
+            $sfield:ident;
+        )*}
+        json_only {$(
+            [$jkey0:literal $(, $jkey:literal)*] $jkind:ident: $jhelp:literal;
+        )*}
+    ) => {
+        /// Shared counters for one service instance. All fields are
+        /// updated with relaxed atomics; a [`StatsReport`] is a consistent
+        /// enough point-in-time read for reporting.
+        #[derive(Debug)]
+        pub struct ServeStats {
+            $(
+                #[doc = $help]
+                $(#[doc = $doc])*
+                pub $field: stat_kind!(store $kind),
+            )*
+            /// Roster-quality scores recorded by an external harness (one
+            /// entry per scored publish window; empty unless a driver
+            /// scores the run).
+            pub quality_windows: Mutex<Vec<QualityWindow>>,
+            /// Per-shard counters (length = shard count).
+            pub shards: Vec<ShardStats>,
+        }
+
+        /// Plain point-in-time view of [`ServeStats`].
+        ///
+        /// # JSON schema
+        ///
+        /// [`to_json`](Self::to_json) renders one flat object, versioned
+        /// by `schema_version` (history below the table). Counters are
+        /// monotone totals over the service life; a gauge holds its last
+        /// written value. Latencies are nanoseconds unless the key says
+        /// otherwise; percentiles resolve to the geometric mean of the
+        /// containing log₂ bucket, clamped to the recorded min and max.
+        ///
+        /// | key | kind | meaning |
+        /// |-----|------|---------|
+        $(#[doc = concat!(
+            "| `", $jkey0, "`", $(", `", $jkey, "`",)*
+            " | ", stringify!($jkind), " | ", $jhelp, " |"
+        )])*
+        $(#[doc = stat_kind!(row $kind $field $([$key0 $(, $key)*])? $help)])*
+        ///
+        /// Schema history: version 2 added `attribution_per_shard`,
+        /// `trace_dropped_records` and `saturated_samples`; 3 split the
+        /// per-shard barrier wait into `barrier_arrive_us` /
+        /// `barrier_depart_us` and added the publish-collect counters
+        /// (`boundary_hists_*`, `collect_bytes`, `publish_failures`); 4
+        /// added `dirty_vertices`, `dirty_span`, `dirty_fraction` and
+        /// `quality_per_window`; 5 added `hub_pulls`, `damped_deferrals`,
+        /// `max_degree_delta` and `repartition_vertices_moved`; 6 added
+        /// `boundary_edges_merged` / `boundary_edges_total`; 7 dropped
+        /// `repartition_vertices_moved`, which repeated
+        /// `vertices_migrated`.
+        #[derive(Clone, Debug, Default)]
+        pub struct StatsReport {
+            $(
+                #[doc = $help]
+                $(#[doc = $doc])*
+                pub $field: stat_kind!(report $kind),
+            )*
+            /// Snapshots published (== `snapshots.count`, kept for
+            /// readability).
+            pub snapshots_published: u64,
+            /// Externally-scored publish windows, in recording order
+            /// (empty unless a quality harness scored the run).
+            pub quality_per_window: Vec<QualityWindow>,
+            /// Histogram samples (summed over every histogram in the
+            /// report) that clamped into the top bucket instead of landing
+            /// in a real one.
+            pub saturated_samples: u64,
+            /// Per-shard routed-edit, repair, and work/wait attribution
+            /// counts.
+            pub shards: Vec<ShardCounts>,
+        }
+
+        /// Every top-level key [`StatsReport::to_json`] documents, one
+        /// slice per schema-table row.
+        #[cfg(test)]
+        const SCHEMA_KEYS: &[&[&str]] = &[
+            $(&[$jkey0 $(, $jkey)*],)*
+            $(&stat_kind!(keys $field $([$key0 $(, $key)*])?),)*
+        ];
+
+        impl ServeStats {
+            /// Counters for a service with `shards` maintenance shards
+            /// (≥ 1).
+            pub fn with_shards(shards: usize) -> Self {
+                Self {
+                    $($field: Default::default(),)*
+                    quality_windows: Mutex::new(Vec::new()),
+                    shards: (0..shards.max(1)).map(|_| ShardStats::default()).collect(),
+                }
+            }
+
+            /// Point-in-time report.
+            pub fn report(&self) -> StatsReport {
+                let mut report = StatsReport {
+                    $($field: stat_kind!(read $kind self.$field),)*
+                    snapshots_published: 0,
+                    quality_per_window: self
+                        .quality_windows
+                        .lock()
+                        .expect("quality window lock poisoned")
+                        .clone(),
+                    saturated_samples: [$(stat_kind!(saturated $kind self.$field)),*]
+                        .iter()
+                        .sum(),
+                    shards: self.shards.iter().map(ShardStats::counts).collect(),
+                };
+                report.snapshots_published = report.snapshots.count;
+                report
+            }
+        }
+
+        impl StatsReport {
+            /// Write the registry's counter and gauge entries.
+            fn scalar_json(&self, o: &mut JsonObject) {
+                $(stat_kind!(json $kind o $field self.$field);)*
+            }
+        }
+
+        /// Per-shard monotone counters (sharded maintenance only; a
+        /// single-writer service has exactly one entry).
+        #[derive(Debug, Default)]
+        pub struct ShardStats {
+            $($(#[doc = $sdoc])* pub $sfield: AtomicU64,)*
+        }
+
+        /// Plain point-in-time view of one shard's counters.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct ShardCounts {
+            $(
+                #[doc = concat!("See [`ShardStats::", stringify!($sfield), "`].")]
+                pub $sfield: u64,
+            )*
+        }
+
+        impl ShardStats {
+            fn counts(&self) -> ShardCounts {
+                ShardCounts {
+                    $($sfield: self.$sfield.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+stats_registry! {
+    serve {
+        histogram queries [
+            "query_count", "query_mean_ns", "query_p50_ns", "query_p90_ns", "query_p99_ns",
+            "query_max_ns"
+        ]: "Query latency, all query kinds pooled.";
+        /// Detection/publish cost is tracked separately in `snapshots`.
+        histogram flushes ["flush_count", "flush_mean_ns", "flush_p50_ns", "flush_p99_ns"]:
+            "Flush latency: net-batch resolution + incremental repair.";
+        histogram snapshots [
+            "snapshots_published", "snapshot_mean_ns", "snapshot_p50_ns", "snapshot_p99_ns"
+        ]: "Snapshot publish latency: counter-read weight pass + thresholding + index \
+            build + epoch swap; `snapshots_published` is its count.";
+        histogram counters ["counter_mean_ns", "counter_p50_ns", "counter_p99_ns"]:
+            "Per-flush **central** edge-weight counter upkeep (delete retirement + \
+            slot-delta folding on the maintenance thread); empty at `shards > 1`, where \
+            the mesh workers own upkeep and report it in `upkeep_per_shard`.";
+        counter edits_enqueued: "Edit operations accepted into the ingestion queue.";
+        counter edits_applied: "Edit operations that survived net resolution and hit the graph.";
+        counter edits_rejected:
+            "Edit operations dropped as no-ops (duplicate insert, absent delete, self-loop).";
+        counter batches_flushed: "Micro-batches flushed into the maintenance engine.";
+        counter slots_repaired:
+            "Label slots rewritten by Correction Propagation across all flushes (Σ η).";
+        counter slot_deltas_net:
+            "Net slot deltas folded into the edge-weight counters (after intra-flush \
+            compaction; ≤ `slots_repaired`).";
+        counter barriers: "Barriers honored.";
+        counter exchange_rounds: "Mesh boundary-exchange rounds (0 under a single writer).";
+        counter boundary_msgs: "Envelopes that crossed a shard boundary.";
+        counter boundary_hists_shipped:
+            "Boundary-vertex histograms actually shipped by publish collects (dirty diffs \
+            only; ≤ `boundary_hists_total`).";
+        counter boundary_hists_total:
+            "Boundary-vertex histograms a ship-everything collect would have sent (Σ \
+            boundary vertices over all collects, the dirty-diff savings denominator).";
+        /// `boundary_hists_shipped` never exceeds this: the coherence
+        /// invariant the CI smoke gates.
+        counter boundary_dirty_marked:
+            "Boundary vertices whose histogram was dirty (changed since last ship, or \
+            never shipped) at collect time.";
+        counter collect_bytes:
+            "Approximate payload bytes of publish-collect replies (interior counter \
+            triples + shipped histograms).";
+        counter boundary_edges_merged:
+            "Cut edges whose weight numerator publish assembly actually merged from the \
+            two endpoint histograms: new to the coordinator's memo, or with an endpoint \
+            re-shipped since (≤ `boundary_edges_total`).";
+        counter boundary_edges_total:
+            "Cut edges publish assembly walked (Σ cut edges over all mesh publishes, \
+            what a memo-less assembly would merge).";
+        counter publish_failures:
+            "Publishes abandoned because a shard worker died; the snapshot is skipped and \
+            the epoch stays dirty.";
+        counter channel_hops:
+            "Channel sends spent on flush coordination and boundary delivery (commands, \
+            replies, and peer batches all count 1 each).";
+        /// Counted port-side, independently of `boundary_msgs`, as a
+        /// cross-check.
+        counter envelope_hops:
+            "Σ over boundary envelopes of the channels each traversed: 1 per envelope \
+            over the mailbox mesh, so this equals `boundary_msgs`.";
+        histogram mailbox_depth ["mailbox_depth"]:
+            "Inbox depth per delivering mesh round (envelopes one shard drained in one \
+            round); JSON object `count`/`p50`/`p99`/`max`, raw counts.";
+        histogram barrier_wait ["barrier_wait_us"]:
+            "Wall time workers spent parked on the mesh round barrier, per shard per \
+            flush; JSON object `count`/`mean`/`p50`/`p99`, microseconds.";
+        gauge cut_edges: "Edges whose endpoints live on different shards.";
+        gauge boundary_vertices: "Vertices with at least one off-shard neighbor.";
+        counter repartitions: "Publish-time repartitions performed.";
+        counter vertices_migrated: "Vertex rows migrated between shards by repartitions.";
+        counter hub_pulls:
+            "Forming hubs pulled (with their spoke frontiers) onto single shards by \
+            hub-aware repartitions.";
+        counter damped_deferrals:
+            "Label deliveries parked by degree-capped cascade damping (muted-hub re-pick \
+            reads, suppressed fetch replies, deferred cascade slots; 0 with damping off).";
+        gauge max_degree_delta:
+            "Largest net per-vertex degree gain in the window ending at the last publish \
+            (the hub detector's input signal).";
+        gauge mem_live_bytes:
+            "Coordinator-resident live bytes (graph + label rows + counters, per the \
+            engine's ownership split) at the last publish.";
+        gauge mem_capacity_bytes: "Coordinator-resident reserved bytes at the last publish.";
+        gauge mem_vertices: "Vertex count the memory gauges were sampled at.";
+        gauge trace_dropped_records:
+            "Flight-recorder records lost to ring overwrite (refreshed at each publish \
+            while tracing is enabled; 0 when tracing is off).";
+        /// Exact and run-to-run stable under the single writer. At
+        /// `shards > 1` it is **schedule-dependent**: a vertex whose label
+        /// changes and changes back within one flush counts as dirty or not
+        /// depending on the order mesh envelopes arrive, so the count (and
+        /// `dirty_fraction`) can move in the 4th significant digit from one
+        /// run to the next. Rosters and weights stay bit-identical; treat the
+        /// sharded value as approximate and gate it with a ceiling, never an
+        /// exact pin.
+        counter dirty_vertices:
+            "Distinct vertices whose stored labels changed, summed over all non-empty \
+            flushes (the dirty-region numerator).";
+        counter dirty_span:
+            "Σ over the same flushes of the vertex count at flush time (the dirty-region \
+            denominator).";
+    }
+    shard {
+        /// Per-vertex edit deltas routed to this shard.
+        edits_routed;
+        /// Label slots this shard repaired (Σ per-shard η).
+        slots_repaired;
+        /// Net slot deltas this shard folded into its own counter partition
+        /// (shard-owned upkeep; 0 under the single writer, whose upkeep is
+        /// central).
+        upkeep_deltas;
+        /// Wall nanoseconds this shard spent on its own counter upkeep.
+        upkeep_ns;
+        /// Wall nanoseconds this shard's worker spent actively processing
+        /// commands (flush waves, exchange stepping, collects, migration),
+        /// *excluding* barrier parks and counter upkeep.
+        work_ns;
+        /// Wall nanoseconds the worker spent blocked on its command sub-queue
+        /// waiting for the coordinator (the "mailbox wait").
+        mailbox_wait_ns;
+        /// Wall nanoseconds the worker spent parked at mesh round barriers.
+        barrier_wait_ns;
+        /// Of `barrier_wait_ns`, the arrive phase: parked until the round's
+        /// last participant arrived (straggler / load-imbalance cost).
+        barrier_arrive_ns;
+        /// Of `barrier_wait_ns`, the depart phase: between the leader's
+        /// release and this worker resuming (wakeup/scheduling latency —
+        /// dominates when workers outnumber cores).
+        barrier_depart_ns;
+        /// Gauge: total wall nanoseconds of the worker's command loop, set
+        /// once at shutdown. `work + mailbox_wait + barrier_wait + upkeep`
+        /// should account for ≥ 90% of it — the rest is loop bookkeeping.
+        wall_ns;
+    }
+    json_only {
+        ["schema_version"] version: "Shape version of this object; history below.";
+        ["shards"] per_shard: "Maintenance shard count (1 = single writer).";
+        ["shard_edits_routed"] per_shard: "Array: vertex deltas routed to each shard.";
+        ["shard_slots_repaired"] per_shard: "Array: label slots each shard repaired.";
+        ["upkeep_per_shard"] per_shard:
+            "Object of arrays: per-shard `deltas` folded and wall `ns` of shard-owned \
+            counter upkeep (zeros under the single writer, whose upkeep is central).";
+        ["attribution_per_shard"] per_shard:
+            "Object of per-shard arrays `work_us`, `barrier_wait_us`, \
+            `barrier_arrive_us`, `barrier_depart_us`, `mailbox_wait_us`, `upkeep_us`, \
+            `wall_us` and `coverage`, attributing each worker's wall time; \
+            `barrier_wait_us` = arrive (waiting for stragglers) + depart \
+            (release-to-resume latency); `coverage` is work + waits + upkeep over wall.";
+        ["dirty_fraction"] derived:
+            "`dirty_vertices` / `dirty_span`, the mean per-flush dirty fraction: near 1.0 \
+            means incremental repair costs as much as a full recompute.";
+        ["bytes_per_vertex"] derived: "`mem_capacity_bytes` / `mem_vertices`.";
+        ["saturated_samples"] derived:
+            "Histogram samples that clamped into the top log₂ bucket (≥ 2⁶³), across all \
+            histograms.";
+        ["quality_per_window"] windows:
+            "Array of `{epoch, onmi, f1, omega}` objects a quality harness (`repro churn`) \
+            recorded, scoring each published roster against a tracked ground-truth cover; \
+            empty when the run is unscored.";
+    }
 }
 
 impl ShardCounts {
@@ -320,133 +630,6 @@ impl ShardCounts {
         let accounted = self.work_ns + self.mailbox_wait_ns + self.barrier_wait_ns + self.upkeep_ns;
         accounted as f64 / self.wall_ns as f64
     }
-}
-
-/// Shared counters for one service instance. All fields are monotone
-/// counters updated with relaxed atomics; a [`StatsReport`] is a consistent
-/// enough point-in-time read for reporting.
-#[derive(Debug)]
-pub struct ServeStats {
-    /// Query latency (all query kinds pooled).
-    pub queries: LatencyHistogram,
-    /// Flush latency: net-batch resolution + incremental repair only;
-    /// detection/publish cost is tracked separately in `snapshots`.
-    pub flushes: LatencyHistogram,
-    /// Snapshot publish latency: counter-read weight pass + thresholding
-    /// + index build + epoch swap. Its count is the number of snapshots
-    /// published.
-    pub snapshots: LatencyHistogram,
-    /// Per-flush **central** edge-weight counter maintenance latency
-    /// (retiring deleted edges' counters + folding the compacted
-    /// slot-delta stream into the common-label counters on the
-    /// maintenance thread). Empty under the mailbox engine, whose
-    /// workers own upkeep — see the per-shard `upkeep_*` counters.
-    pub counters: LatencyHistogram,
-    /// Edit operations accepted into the queue.
-    pub edits_enqueued: AtomicU64,
-    /// Edit operations applied to the graph.
-    pub edits_applied: AtomicU64,
-    /// Edit operations dropped as no-ops (inserting a present edge,
-    /// deleting an absent one, self-loops).
-    pub edits_rejected: AtomicU64,
-    /// Micro-batches flushed into the maintenance engine.
-    pub batches_flushed: AtomicU64,
-    /// Label slots repaired across all flushes (Σ η).
-    pub slots_repaired: AtomicU64,
-    /// Net slot deltas folded into the edge-weight counters (after
-    /// intra-flush compaction; ≤ `slots_repaired`).
-    pub slot_deltas_net: AtomicU64,
-    /// Barriers honored.
-    pub barriers: AtomicU64,
-    /// Mesh boundary-exchange rounds (0 under a single writer).
-    pub exchange_rounds: AtomicU64,
-    /// Envelopes that crossed a shard boundary.
-    pub boundary_msgs: AtomicU64,
-    /// Boundary-vertex histograms actually shipped by publish collects
-    /// (dirty diffs only; ≤ `boundary_hists_total`).
-    pub boundary_hists_shipped: AtomicU64,
-    /// Boundary-vertex histograms a ship-everything collect would have
-    /// sent (Σ boundary vertices over all collects — the dirty-diff
-    /// savings denominator).
-    pub boundary_hists_total: AtomicU64,
-    /// Boundary vertices whose histogram was dirty (changed since last
-    /// ship, or never shipped) at collect time. `boundary_hists_shipped`
-    /// never exceeds this — the coherence invariant the CI smoke gates.
-    pub boundary_dirty_marked: AtomicU64,
-    /// Approximate payload bytes of publish-collect replies (interior
-    /// counter triples + shipped histograms).
-    pub collect_bytes: AtomicU64,
-    /// Cut edges whose weight numerator publish assembly actually merged
-    /// from the two endpoint histograms: new to the coordinator's memo,
-    /// or with an endpoint re-shipped since (≤ `boundary_edges_total`).
-    pub boundary_edges_merged: AtomicU64,
-    /// Cut edges publish assembly walked (Σ cut edges over all mesh
-    /// publishes — what a memo-less assembly would merge).
-    pub boundary_edges_total: AtomicU64,
-    /// Publishes abandoned because a shard worker died; the snapshot is
-    /// skipped and the epoch stays dirty.
-    pub publish_failures: AtomicU64,
-    /// Channel `send`s spent on flush coordination and boundary delivery
-    /// (commands, replies, and peer batches all count 1 each).
-    pub channel_hops: AtomicU64,
-    /// Σ over boundary envelopes of the channels each traversed — 1 per
-    /// envelope over the mailbox mesh, so this equals `boundary_msgs`
-    /// (counted port-side, independently, as a cross-check).
-    pub envelope_hops: AtomicU64,
-    /// Inbox depth per delivering mesh round (envelopes drained by one
-    /// shard in one round; empty under a single writer).
-    pub mailbox_depth: LatencyHistogram,
-    /// Wall time workers spent parked on the mesh round barrier, per
-    /// shard per flush (empty under a single writer).
-    pub barrier_wait: LatencyHistogram,
-    /// Gauge: edges whose endpoints live on different shards.
-    pub cut_edges: AtomicU64,
-    /// Gauge: vertices with at least one off-shard neighbor.
-    pub boundary_vertices: AtomicU64,
-    /// Publish-time repartitions performed.
-    pub repartitions: AtomicU64,
-    /// Vertex rows migrated between shards by repartitions.
-    pub vertices_migrated: AtomicU64,
-    /// Forming hubs pulled (with their spoke frontiers) onto single
-    /// shards by hub-aware repartitions.
-    pub hub_pulls: AtomicU64,
-    /// Cascade re-sprays deferred at over-cap vertices by degree-capped
-    /// damping (0 with damping off).
-    pub damped_deferrals: AtomicU64,
-    /// Gauge: largest net per-vertex degree gain observed in the window
-    /// ending at the last publish (the hub-detector's input signal).
-    pub max_degree_delta: AtomicU64,
-    /// Gauge: coordinator-resident live bytes (graph + label rows +
-    /// counters, per the engine's ownership split) at the last publish.
-    pub mem_live_bytes: AtomicU64,
-    /// Gauge: coordinator-resident reserved bytes at the last publish.
-    pub mem_capacity_bytes: AtomicU64,
-    /// Gauge: vertex count the memory gauges were sampled at.
-    pub mem_vertices: AtomicU64,
-    /// Gauge: flight-recorder records lost to ring overwrite (refreshed at
-    /// each publish while tracing is enabled; 0 when tracing is off).
-    pub trace_dropped_records: AtomicU64,
-    /// Distinct vertices whose stored labels changed, summed over all
-    /// non-empty flushes (the dirty-region numerator).
-    ///
-    /// Exact and run-to-run stable under the single writer. At
-    /// `shards > 1` it is **schedule-dependent**: a vertex whose label
-    /// changes and changes back within one flush counts as dirty or not
-    /// depending on the order mesh envelopes arrive, so the count (and
-    /// `dirty_fraction`) can move in the 4th significant digit from one
-    /// run to the next. Rosters and weights stay bit-identical; treat the
-    /// sharded value as approximate and gate it with a ceiling, never an
-    /// exact pin.
-    pub dirty_vertices: AtomicU64,
-    /// Σ over the same flushes of the vertex count at flush time (the
-    /// dirty-region denominator; `dirty_vertices / dirty_span` is the
-    /// mean per-flush dirty fraction).
-    pub dirty_span: AtomicU64,
-    /// Roster-quality scores recorded by an external harness (one entry
-    /// per scored publish window; empty unless a driver scores the run).
-    pub quality_windows: Mutex<Vec<QualityWindow>>,
-    /// Per-shard counters (length = shard count).
-    pub shards: Vec<ShardStats>,
 }
 
 /// One externally-scored publish window: the published roster compared
@@ -481,51 +664,6 @@ macro_rules! bump {
 }
 
 impl ServeStats {
-    /// Counters for a service with `shards` maintenance shards (≥ 1).
-    pub fn with_shards(shards: usize) -> Self {
-        Self {
-            queries: LatencyHistogram::new(),
-            flushes: LatencyHistogram::new(),
-            snapshots: LatencyHistogram::new(),
-            counters: LatencyHistogram::new(),
-            edits_enqueued: AtomicU64::new(0),
-            edits_applied: AtomicU64::new(0),
-            edits_rejected: AtomicU64::new(0),
-            batches_flushed: AtomicU64::new(0),
-            slots_repaired: AtomicU64::new(0),
-            slot_deltas_net: AtomicU64::new(0),
-            barriers: AtomicU64::new(0),
-            exchange_rounds: AtomicU64::new(0),
-            boundary_msgs: AtomicU64::new(0),
-            boundary_hists_shipped: AtomicU64::new(0),
-            boundary_hists_total: AtomicU64::new(0),
-            boundary_dirty_marked: AtomicU64::new(0),
-            collect_bytes: AtomicU64::new(0),
-            boundary_edges_merged: AtomicU64::new(0),
-            boundary_edges_total: AtomicU64::new(0),
-            publish_failures: AtomicU64::new(0),
-            channel_hops: AtomicU64::new(0),
-            envelope_hops: AtomicU64::new(0),
-            mailbox_depth: LatencyHistogram::new(),
-            barrier_wait: LatencyHistogram::new(),
-            cut_edges: AtomicU64::new(0),
-            boundary_vertices: AtomicU64::new(0),
-            repartitions: AtomicU64::new(0),
-            vertices_migrated: AtomicU64::new(0),
-            hub_pulls: AtomicU64::new(0),
-            damped_deferrals: AtomicU64::new(0),
-            max_degree_delta: AtomicU64::new(0),
-            mem_live_bytes: AtomicU64::new(0),
-            mem_capacity_bytes: AtomicU64::new(0),
-            mem_vertices: AtomicU64::new(0),
-            trace_dropped_records: AtomicU64::new(0),
-            dirty_vertices: AtomicU64::new(0),
-            dirty_span: AtomicU64::new(0),
-            quality_windows: Mutex::new(Vec::new()),
-            shards: (0..shards.max(1)).map(|_| ShardStats::default()).collect(),
-        }
-    }
-
     pub(crate) fn note_enqueued(&self) {
         bump!(self.edits_enqueued);
     }
@@ -705,173 +843,6 @@ impl ServeStats {
             .expect("quality window lock poisoned")
             .push(window);
     }
-
-    /// Point-in-time report.
-    pub fn report(&self) -> StatsReport {
-        let snapshots = self.snapshots.summarize();
-        StatsReport {
-            queries: self.queries.summarize(),
-            flushes: self.flushes.summarize(),
-            counters: self.counters.summarize(),
-            snapshots_published: snapshots.count,
-            snapshots,
-            edits_enqueued: self.edits_enqueued.load(Ordering::Relaxed),
-            edits_applied: self.edits_applied.load(Ordering::Relaxed),
-            edits_rejected: self.edits_rejected.load(Ordering::Relaxed),
-            batches_flushed: self.batches_flushed.load(Ordering::Relaxed),
-            slots_repaired: self.slots_repaired.load(Ordering::Relaxed),
-            slot_deltas_net: self.slot_deltas_net.load(Ordering::Relaxed),
-            barriers: self.barriers.load(Ordering::Relaxed),
-            exchange_rounds: self.exchange_rounds.load(Ordering::Relaxed),
-            boundary_msgs: self.boundary_msgs.load(Ordering::Relaxed),
-            boundary_hists_shipped: self.boundary_hists_shipped.load(Ordering::Relaxed),
-            boundary_hists_total: self.boundary_hists_total.load(Ordering::Relaxed),
-            boundary_dirty_marked: self.boundary_dirty_marked.load(Ordering::Relaxed),
-            collect_bytes: self.collect_bytes.load(Ordering::Relaxed),
-            boundary_edges_merged: self.boundary_edges_merged.load(Ordering::Relaxed),
-            boundary_edges_total: self.boundary_edges_total.load(Ordering::Relaxed),
-            publish_failures: self.publish_failures.load(Ordering::Relaxed),
-            channel_hops: self.channel_hops.load(Ordering::Relaxed),
-            envelope_hops: self.envelope_hops.load(Ordering::Relaxed),
-            mailbox_depth: self.mailbox_depth.summarize(),
-            barrier_wait: self.barrier_wait.summarize(),
-            cut_edges: self.cut_edges.load(Ordering::Relaxed),
-            boundary_vertices: self.boundary_vertices.load(Ordering::Relaxed),
-            repartitions: self.repartitions.load(Ordering::Relaxed),
-            vertices_migrated: self.vertices_migrated.load(Ordering::Relaxed),
-            hub_pulls: self.hub_pulls.load(Ordering::Relaxed),
-            damped_deferrals: self.damped_deferrals.load(Ordering::Relaxed),
-            max_degree_delta: self.max_degree_delta.load(Ordering::Relaxed),
-            mem_live_bytes: self.mem_live_bytes.load(Ordering::Relaxed),
-            mem_capacity_bytes: self.mem_capacity_bytes.load(Ordering::Relaxed),
-            mem_vertices: self.mem_vertices.load(Ordering::Relaxed),
-            trace_dropped_records: self.trace_dropped_records.load(Ordering::Relaxed),
-            dirty_vertices: self.dirty_vertices.load(Ordering::Relaxed),
-            dirty_span: self.dirty_span.load(Ordering::Relaxed),
-            quality_per_window: self
-                .quality_windows
-                .lock()
-                .expect("quality window lock poisoned")
-                .clone(),
-            saturated_samples: [
-                &self.queries,
-                &self.flushes,
-                &self.snapshots,
-                &self.counters,
-                &self.mailbox_depth,
-                &self.barrier_wait,
-            ]
-            .iter()
-            .map(|h| h.saturated_samples())
-            .sum(),
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardCounts {
-                    edits_routed: s.edits_routed.load(Ordering::Relaxed),
-                    slots_repaired: s.slots_repaired.load(Ordering::Relaxed),
-                    upkeep_deltas: s.upkeep_deltas.load(Ordering::Relaxed),
-                    upkeep_ns: s.upkeep_ns.load(Ordering::Relaxed),
-                    work_ns: s.work_ns.load(Ordering::Relaxed),
-                    mailbox_wait_ns: s.mailbox_wait_ns.load(Ordering::Relaxed),
-                    barrier_wait_ns: s.barrier_wait_ns.load(Ordering::Relaxed),
-                    barrier_arrive_ns: s.barrier_arrive_ns.load(Ordering::Relaxed),
-                    barrier_depart_ns: s.barrier_depart_ns.load(Ordering::Relaxed),
-                    wall_ns: s.wall_ns.load(Ordering::Relaxed),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Plain point-in-time view of [`ServeStats`].
-#[derive(Clone, Debug, Default)]
-pub struct StatsReport {
-    /// Query latency summary.
-    pub queries: LatencySummary,
-    /// Flush latency summary (repair only; see `snapshots` for detect).
-    pub flushes: LatencySummary,
-    /// Per-flush edge-weight counter maintenance latency summary.
-    pub counters: LatencySummary,
-    /// Snapshot publish latency summary (counter-read weight pass +
-    /// thresholding + build + swap).
-    pub snapshots: LatencySummary,
-    /// Snapshots published (== `snapshots.count`, kept for readability).
-    pub snapshots_published: u64,
-    /// See [`ServeStats::edits_enqueued`].
-    pub edits_enqueued: u64,
-    /// See [`ServeStats::edits_applied`].
-    pub edits_applied: u64,
-    /// See [`ServeStats::edits_rejected`].
-    pub edits_rejected: u64,
-    /// See [`ServeStats::batches_flushed`].
-    pub batches_flushed: u64,
-    /// See [`ServeStats::slots_repaired`].
-    pub slots_repaired: u64,
-    /// See [`ServeStats::slot_deltas_net`].
-    pub slot_deltas_net: u64,
-    /// See [`ServeStats::barriers`].
-    pub barriers: u64,
-    /// See [`ServeStats::exchange_rounds`].
-    pub exchange_rounds: u64,
-    /// See [`ServeStats::boundary_msgs`].
-    pub boundary_msgs: u64,
-    /// See [`ServeStats::boundary_hists_shipped`].
-    pub boundary_hists_shipped: u64,
-    /// See [`ServeStats::boundary_hists_total`].
-    pub boundary_hists_total: u64,
-    /// See [`ServeStats::boundary_dirty_marked`].
-    pub boundary_dirty_marked: u64,
-    /// See [`ServeStats::collect_bytes`].
-    pub collect_bytes: u64,
-    /// See [`ServeStats::boundary_edges_merged`].
-    pub boundary_edges_merged: u64,
-    /// See [`ServeStats::boundary_edges_total`].
-    pub boundary_edges_total: u64,
-    /// See [`ServeStats::publish_failures`].
-    pub publish_failures: u64,
-    /// See [`ServeStats::channel_hops`].
-    pub channel_hops: u64,
-    /// See [`ServeStats::envelope_hops`].
-    pub envelope_hops: u64,
-    /// Mesh inbox depth distribution (raw counts, not nanoseconds).
-    pub mailbox_depth: LatencySummary,
-    /// Mesh round-barrier wait distribution.
-    pub barrier_wait: LatencySummary,
-    /// See [`ServeStats::cut_edges`].
-    pub cut_edges: u64,
-    /// See [`ServeStats::boundary_vertices`].
-    pub boundary_vertices: u64,
-    /// See [`ServeStats::repartitions`].
-    pub repartitions: u64,
-    /// See [`ServeStats::vertices_migrated`].
-    pub vertices_migrated: u64,
-    /// See [`ServeStats::hub_pulls`].
-    pub hub_pulls: u64,
-    /// See [`ServeStats::damped_deferrals`].
-    pub damped_deferrals: u64,
-    /// See [`ServeStats::max_degree_delta`].
-    pub max_degree_delta: u64,
-    /// See [`ServeStats::mem_live_bytes`].
-    pub mem_live_bytes: u64,
-    /// See [`ServeStats::mem_capacity_bytes`].
-    pub mem_capacity_bytes: u64,
-    /// See [`ServeStats::mem_vertices`].
-    pub mem_vertices: u64,
-    /// See [`ServeStats::trace_dropped_records`].
-    pub trace_dropped_records: u64,
-    /// See [`ServeStats::dirty_vertices`].
-    pub dirty_vertices: u64,
-    /// See [`ServeStats::dirty_span`].
-    pub dirty_span: u64,
-    /// Externally-scored publish windows, in recording order (empty
-    /// unless a quality harness scored the run).
-    pub quality_per_window: Vec<QualityWindow>,
-    /// Histogram samples (summed over every histogram in the report) that
-    /// clamped into the top bucket instead of landing in a real one.
-    pub saturated_samples: u64,
-    /// Per-shard routed-edit, repair, and work/wait attribution counts.
-    pub shards: Vec<ShardCounts>,
 }
 
 impl StatsReport {
@@ -919,165 +890,130 @@ impl StatsReport {
         }
     }
 
-    /// Render as a JSON object fragment (no external deps; all fields are
-    /// numbers, so no escaping is needed). The shape is versioned via
-    /// `schema_version`; version 2 added the `attribution_per_shard`
-    /// block, `trace_dropped_records`, and `saturated_samples`; version 3
-    /// split the per-shard barrier wait into `barrier_arrive_us` /
-    /// `barrier_depart_us` (their sum is `barrier_wait_us`) and added the
-    /// publish-collect counters `boundary_hists_shipped`,
-    /// `boundary_hists_total`, `boundary_dirty_marked`, `collect_bytes`,
-    /// and `publish_failures`; version 4 added the dirty-region counters
-    /// `dirty_vertices` / `dirty_span` / `dirty_fraction` and the
-    /// `quality_per_window` array of externally-scored publish windows;
-    /// version 5 added the hub-aware repartition counters `hub_pulls` /
-    /// `repartition_vertices_moved` (an alias of `vertices_migrated`),
-    /// the damping counter `damped_deferrals`, and the per-window degree
-    /// gauge `max_degree_delta`; version 6 added the publish-assembly
-    /// counters `boundary_edges_merged` / `boundary_edges_total`.
+    /// Render as one JSON object (no external deps; every value is a
+    /// number, an array or an object, so nothing needs escaping). The keys
+    /// are documented in the [`StatsReport`] schema table.
     pub fn to_json(&self) -> String {
-        let quality = self
-            .quality_per_window
-            .iter()
-            .map(|q| {
-                format!(
-                    "{{\"epoch\":{},\"onmi\":{:.6},\"f1\":{:.6},\"omega\":{:.6}}}",
-                    q.epoch, q.onmi, q.f1, q.omega
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let join = |f: fn(&ShardCounts) -> u64| -> String {
-            self.shards
-                .iter()
-                .map(|s| f(s).to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
+        let mut o = JsonObject::new();
+        o.entry("schema_version", SCHEMA_VERSION);
+        self.scalar_json(&mut o);
+        let per_shard = |f: fn(&ShardCounts) -> u64| json_array(self.shards.iter().map(f));
         // Nanosecond counters exported as microseconds, one decimal.
-        let join_us = |f: fn(&ShardCounts) -> u64| -> String {
-            self.shards
-                .iter()
-                .map(|s| format!("{:.1}", f(s) as f64 / 1e3))
-                .collect::<Vec<_>>()
-                .join(",")
+        let per_shard_us = |f: fn(&ShardCounts) -> u64| {
+            json_array(
+                self.shards
+                    .iter()
+                    .map(|s| format!("{:.1}", f(s) as f64 / 1e3)),
+            )
         };
-        let coverage = self
-            .shards
-            .iter()
-            .map(|s| format!("{:.3}", s.attribution_coverage()))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"schema_version\":6,\
-             \"edits_enqueued\":{},\"edits_applied\":{},\"edits_rejected\":{},\
-             \"batches_flushed\":{},\"snapshots_published\":{},\"slots_repaired\":{},\
-             \"slot_deltas_net\":{},\"barriers\":{},\
-             \"shards\":{},\"shard_edits_routed\":[{}],\"shard_slots_repaired\":[{}],\
-             \"upkeep_per_shard\":{{\"deltas\":[{}],\"ns\":[{}]}},\
-             \"attribution_per_shard\":{{\"work_us\":[{}],\"barrier_wait_us\":[{}],\
-             \"barrier_arrive_us\":[{}],\"barrier_depart_us\":[{}],\
-             \"mailbox_wait_us\":[{}],\"upkeep_us\":[{}],\"wall_us\":[{}],\
-             \"coverage\":[{}]}},\
-             \"trace_dropped_records\":{},\"saturated_samples\":{},\
-             \"exchange_rounds\":{},\"boundary_msgs\":{},\
-             \"boundary_hists_shipped\":{},\"boundary_hists_total\":{},\
-             \"boundary_dirty_marked\":{},\"collect_bytes\":{},\
-             \"boundary_edges_merged\":{},\"boundary_edges_total\":{},\
-             \"publish_failures\":{},\
-             \"dirty_vertices\":{},\"dirty_span\":{},\"dirty_fraction\":{:.6},\
-             \"quality_per_window\":[{}],\
-             \"channel_hops\":{},\"envelope_hops\":{},\
-             \"mailbox_depth\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}},\
-             \"barrier_wait_us\":{{\"count\":{},\"mean\":{:.3},\"p50\":{:.3},\"p99\":{:.3}}},\
-             \"cut_edges\":{},\"boundary_vertices\":{},\
-             \"repartitions\":{},\"vertices_migrated\":{},\
-             \"repartition_vertices_moved\":{},\"hub_pulls\":{},\
-             \"damped_deferrals\":{},\"max_degree_delta\":{},\
-             \"mem_live_bytes\":{},\"mem_capacity_bytes\":{},\
-             \"mem_vertices\":{},\"bytes_per_vertex\":{:.2},\
-             \"query_count\":{},\"query_mean_ns\":{},\"query_p50_ns\":{},\
-             \"query_p90_ns\":{},\"query_p99_ns\":{},\"query_max_ns\":{},\
-             \"flush_count\":{},\"flush_mean_ns\":{},\"flush_p50_ns\":{},\
-             \"flush_p99_ns\":{},\"counter_mean_ns\":{},\"counter_p50_ns\":{},\
-             \"counter_p99_ns\":{},\"snapshot_mean_ns\":{},\"snapshot_p50_ns\":{},\
-             \"snapshot_p99_ns\":{}}}",
-            self.edits_enqueued,
-            self.edits_applied,
-            self.edits_rejected,
-            self.batches_flushed,
-            self.snapshots_published,
-            self.slots_repaired,
-            self.slot_deltas_net,
-            self.barriers,
-            self.shards.len(),
-            join(|s| s.edits_routed),
-            join(|s| s.slots_repaired),
-            join(|s| s.upkeep_deltas),
-            join(|s| s.upkeep_ns),
-            join_us(|s| s.work_ns),
-            join_us(|s| s.barrier_wait_ns),
-            join_us(|s| s.barrier_arrive_ns),
-            join_us(|s| s.barrier_depart_ns),
-            join_us(|s| s.mailbox_wait_ns),
-            join_us(|s| s.upkeep_ns),
-            join_us(|s| s.wall_ns),
-            coverage,
-            self.trace_dropped_records,
-            self.saturated_samples,
-            self.exchange_rounds,
-            self.boundary_msgs,
-            self.boundary_hists_shipped,
-            self.boundary_hists_total,
-            self.boundary_dirty_marked,
-            self.collect_bytes,
-            self.boundary_edges_merged,
-            self.boundary_edges_total,
-            self.publish_failures,
-            self.dirty_vertices,
-            self.dirty_span,
-            self.dirty_fraction(),
-            quality,
-            self.channel_hops,
-            self.envelope_hops,
-            self.mailbox_depth.count,
-            self.mailbox_depth.p50_ns,
-            self.mailbox_depth.p99_ns,
-            self.mailbox_depth.max_ns,
-            self.barrier_wait.count,
-            self.barrier_wait.mean_ns as f64 / 1e3,
-            self.barrier_wait.p50_ns as f64 / 1e3,
-            self.barrier_wait.p99_ns as f64 / 1e3,
-            self.cut_edges,
-            self.boundary_vertices,
-            self.repartitions,
-            self.vertices_migrated,
-            self.vertices_migrated,
-            self.hub_pulls,
-            self.damped_deferrals,
-            self.max_degree_delta,
-            self.mem_live_bytes,
-            self.mem_capacity_bytes,
-            self.mem_vertices,
-            self.bytes_per_vertex(),
-            self.queries.count,
-            self.queries.mean_ns,
-            self.queries.p50_ns,
-            self.queries.p90_ns,
-            self.queries.p99_ns,
-            self.queries.max_ns,
-            self.flushes.count,
-            self.flushes.mean_ns,
-            self.flushes.p50_ns,
-            self.flushes.p99_ns,
-            self.counters.mean_ns,
-            self.counters.p50_ns,
-            self.counters.p99_ns,
-            self.snapshots.mean_ns,
-            self.snapshots.p50_ns,
-            self.snapshots.p99_ns,
-        )
+        let mut upkeep = JsonObject::new();
+        upkeep
+            .entry("deltas", per_shard(|s| s.upkeep_deltas))
+            .entry("ns", per_shard(|s| s.upkeep_ns));
+        let mut attribution = JsonObject::new();
+        attribution
+            .entry("work_us", per_shard_us(|s| s.work_ns))
+            .entry("barrier_wait_us", per_shard_us(|s| s.barrier_wait_ns))
+            .entry("barrier_arrive_us", per_shard_us(|s| s.barrier_arrive_ns))
+            .entry("barrier_depart_us", per_shard_us(|s| s.barrier_depart_ns))
+            .entry("mailbox_wait_us", per_shard_us(|s| s.mailbox_wait_ns))
+            .entry("upkeep_us", per_shard_us(|s| s.upkeep_ns))
+            .entry("wall_us", per_shard_us(|s| s.wall_ns))
+            .entry(
+                "coverage",
+                json_array(
+                    self.shards
+                        .iter()
+                        .map(|s| format!("{:.3}", s.attribution_coverage())),
+                ),
+            );
+        let quality = json_array(self.quality_per_window.iter().map(|q| {
+            format!(
+                "{{\"epoch\":{},\"onmi\":{:.6},\"f1\":{:.6},\"omega\":{:.6}}}",
+                q.epoch, q.onmi, q.f1, q.omega
+            )
+        }));
+        let mut mailbox = JsonObject::new();
+        let depth = &self.mailbox_depth;
+        mailbox
+            .entry("count", depth.count)
+            .entry("p50", depth.p50_ns)
+            .entry("p99", depth.p99_ns)
+            .entry("max", depth.max_ns);
+        let mut barrier = JsonObject::new();
+        let us = |ns: u64| format!("{:.3}", ns as f64 / 1e3);
+        barrier
+            .entry("count", self.barrier_wait.count)
+            .entry("mean", us(self.barrier_wait.mean_ns))
+            .entry("p50", us(self.barrier_wait.p50_ns))
+            .entry("p99", us(self.barrier_wait.p99_ns));
+        let (q, f, c, s) = (
+            &self.queries,
+            &self.flushes,
+            &self.counters,
+            &self.snapshots,
+        );
+        o.entry("shards", self.shards.len())
+            .entry("shard_edits_routed", per_shard(|s| s.edits_routed))
+            .entry("shard_slots_repaired", per_shard(|s| s.slots_repaired))
+            .entry("upkeep_per_shard", upkeep.finish())
+            .entry("attribution_per_shard", attribution.finish())
+            .entry("dirty_fraction", format!("{:.6}", self.dirty_fraction()))
+            .entry(
+                "bytes_per_vertex",
+                format!("{:.2}", self.bytes_per_vertex()),
+            )
+            .entry("saturated_samples", self.saturated_samples)
+            .entry("quality_per_window", quality)
+            .entry("mailbox_depth", mailbox.finish())
+            .entry("barrier_wait_us", barrier.finish())
+            .entry("query_count", q.count)
+            .entry("query_mean_ns", q.mean_ns)
+            .entry("query_p50_ns", q.p50_ns)
+            .entry("query_p90_ns", q.p90_ns)
+            .entry("query_p99_ns", q.p99_ns)
+            .entry("query_max_ns", q.max_ns)
+            .entry("flush_count", f.count)
+            .entry("flush_mean_ns", f.mean_ns)
+            .entry("flush_p50_ns", f.p50_ns)
+            .entry("flush_p99_ns", f.p99_ns)
+            .entry("counter_mean_ns", c.mean_ns)
+            .entry("counter_p50_ns", c.p50_ns)
+            .entry("counter_p99_ns", c.p99_ns)
+            .entry("snapshots_published", self.snapshots_published)
+            .entry("snapshot_mean_ns", s.mean_ns)
+            .entry("snapshot_p50_ns", s.p50_ns)
+            .entry("snapshot_p99_ns", s.p99_ns);
+        o.finish()
     }
+}
+
+/// A JSON object under construction; values are written verbatim.
+struct JsonObject(String);
+
+impl JsonObject {
+    fn new() -> Self {
+        Self(String::from("{"))
+    }
+
+    fn entry(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
+        if self.0.len() > 1 {
+            self.0.push(',');
+        }
+        write!(self.0, "\"{key}\":{value}").expect("writing to a String cannot fail");
+        self
+    }
+
+    fn finish(mut self) -> String {
+        self.0.push('}');
+        self.0
+    }
+}
+
+/// `[a,b,..]` of already-formatted JSON values.
+fn json_array<T: std::fmt::Display>(items: impl Iterator<Item = T>) -> String {
+    let items: Vec<String> = items.map(|x| x.to_string()).collect();
+    format!("[{}]", items.join(","))
 }
 
 impl std::fmt::Display for StatsReport {
@@ -1399,7 +1335,7 @@ mod tests {
         assert!((s0.attribution_coverage() - 0.99).abs() < 1e-9);
         assert_eq!(r.shards[1].attribution_coverage(), 0.0);
         let json = r.to_json();
-        assert!(json.starts_with("{\"schema_version\":6,"));
+        assert!(json.starts_with("{\"schema_version\":7,"));
         assert!(json.contains("\"attribution_per_shard\":{\"work_us\":[600.0,0.0]"));
         assert!(json.contains("\"barrier_wait_us\":[150.0,0.0]"));
         assert!(json.contains("\"barrier_arrive_us\":[100.0,0.0]"));
@@ -1427,9 +1363,8 @@ mod tests {
         assert!(json.contains("\"hub_pulls\":3"));
         assert!(json.contains("\"damped_deferrals\":42"));
         assert!(json.contains("\"max_degree_delta\":12"));
-        // repartition_vertices_moved aliases vertices_migrated.
         assert!(json.contains("\"vertices_migrated\":7"));
-        assert!(json.contains("\"repartition_vertices_moved\":7"));
+        assert!(!json.contains("repartition_vertices_moved"));
     }
 
     #[test]
@@ -1537,6 +1472,287 @@ mod tests {
             .report()
             .to_json()
             .contains("\"quality_per_window\":[]"));
+    }
+
+    /// Split a flat JSON object into its top-level `(key, value)` pairs,
+    /// values verbatim. The stats JSON has no strings containing `,`, `:`
+    /// or brackets, so bracket depth alone finds the separators.
+    fn top_level_entries(json: &str) -> Vec<(String, String)> {
+        let body = json
+            .strip_prefix('{')
+            .and_then(|b| b.strip_suffix('}'))
+            .expect("a JSON object");
+        let mut parts = Vec::new();
+        let (mut depth, mut start) = (0i32, 0);
+        for (i, c) in body.char_indices() {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                ',' if depth == 0 => {
+                    parts.push(&body[start..i]);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        parts.push(&body[start..]);
+        parts
+            .into_iter()
+            .map(|p| {
+                let (k, v) = p.split_once(':').expect("key:value");
+                (k.trim_matches('"').to_string(), v.to_string())
+            })
+            .collect()
+    }
+
+    /// A service whose every counter, gauge and histogram holds a value
+    /// no other one holds, so a mis-wired key or field reads wrong.
+    fn golden_stats() -> ServeStats {
+        let stats = ServeStats::with_shards(2);
+        let set = |c: &AtomicU64, v: u64| c.store(v, Ordering::Relaxed);
+        set(&stats.edits_enqueued, 101);
+        set(&stats.edits_applied, 102);
+        set(&stats.edits_rejected, 103);
+        set(&stats.batches_flushed, 104);
+        set(&stats.slots_repaired, 105);
+        set(&stats.slot_deltas_net, 106);
+        set(&stats.barriers, 107);
+        set(&stats.exchange_rounds, 108);
+        set(&stats.boundary_msgs, 109);
+        set(&stats.boundary_hists_shipped, 110);
+        set(&stats.boundary_hists_total, 111);
+        set(&stats.boundary_dirty_marked, 112);
+        set(&stats.collect_bytes, 113);
+        set(&stats.boundary_edges_merged, 114);
+        set(&stats.boundary_edges_total, 115);
+        set(&stats.publish_failures, 116);
+        set(&stats.channel_hops, 117);
+        set(&stats.envelope_hops, 118);
+        set(&stats.cut_edges, 119);
+        set(&stats.boundary_vertices, 120);
+        set(&stats.repartitions, 121);
+        set(&stats.vertices_migrated, 122);
+        set(&stats.hub_pulls, 123);
+        set(&stats.damped_deferrals, 124);
+        set(&stats.max_degree_delta, 125);
+        set(&stats.mem_live_bytes, 126);
+        set(&stats.mem_capacity_bytes, 127);
+        set(&stats.mem_vertices, 128);
+        set(&stats.trace_dropped_records, 129);
+        set(&stats.dirty_vertices, 130);
+        set(&stats.dirty_span, 131);
+        for (s, shard) in stats.shards.iter().enumerate() {
+            let base = 1_000_000 * (s as u64 + 1);
+            set(&shard.edits_routed, base + 11);
+            set(&shard.slots_repaired, base + 12);
+            set(&shard.upkeep_deltas, base + 13);
+            set(&shard.upkeep_ns, base + 14_000);
+            set(&shard.work_ns, base + 15_000);
+            set(&shard.mailbox_wait_ns, base + 16_000);
+            set(&shard.barrier_wait_ns, base + 17_000);
+            set(&shard.barrier_arrive_ns, base + 18_000);
+            set(&shard.barrier_depart_ns, base + 19_000);
+            set(&shard.wall_ns, 5 * base + 20_000);
+        }
+        let ns = Duration::from_nanos;
+        for d in [70, 1_100, 90_000] {
+            stats.queries.record(ns(d));
+        }
+        for d in [2_000, 3_000] {
+            stats.flushes.record(ns(d));
+        }
+        stats.snapshots.record(ns(5_000_000));
+        for d in [40_000, 41_000, 700_000] {
+            stats.counters.record(ns(d));
+        }
+        for v in [3, 9, 17, 17] {
+            stats.mailbox_depth.record_value(v);
+        }
+        for d in [12_000, 250_000] {
+            stats.barrier_wait.record(ns(d));
+        }
+        stats.note_quality_window(QualityWindow {
+            epoch: 4,
+            onmi: 0.5,
+            f1: 0.25,
+            omega: 0.125,
+        });
+        stats
+    }
+
+    #[test]
+    fn golden_report_pins_every_json_entry_and_field() {
+        let r = golden_stats().report();
+        let expected: &[(&str, &str)] = &[
+            ("schema_version", "7"),
+            ("edits_enqueued", "101"),
+            ("edits_applied", "102"),
+            ("edits_rejected", "103"),
+            ("batches_flushed", "104"),
+            ("slots_repaired", "105"),
+            ("slot_deltas_net", "106"),
+            ("barriers", "107"),
+            ("exchange_rounds", "108"),
+            ("boundary_msgs", "109"),
+            ("boundary_hists_shipped", "110"),
+            ("boundary_hists_total", "111"),
+            ("boundary_dirty_marked", "112"),
+            ("collect_bytes", "113"),
+            ("boundary_edges_merged", "114"),
+            ("boundary_edges_total", "115"),
+            ("publish_failures", "116"),
+            ("channel_hops", "117"),
+            ("envelope_hops", "118"),
+            ("cut_edges", "119"),
+            ("boundary_vertices", "120"),
+            ("repartitions", "121"),
+            ("vertices_migrated", "122"),
+            ("hub_pulls", "123"),
+            ("damped_deferrals", "124"),
+            ("max_degree_delta", "125"),
+            ("mem_live_bytes", "126"),
+            ("mem_capacity_bytes", "127"),
+            ("mem_vertices", "128"),
+            ("trace_dropped_records", "129"),
+            ("dirty_vertices", "130"),
+            ("dirty_span", "131"),
+            ("dirty_fraction", "0.992366"),
+            ("bytes_per_vertex", "0.99"),
+            ("saturated_samples", "0"),
+            ("snapshots_published", "1"),
+            ("shards", "2"),
+            ("shard_edits_routed", "[1000011,2000011]"),
+            ("shard_slots_repaired", "[1000012,2000012]"),
+            (
+                "upkeep_per_shard",
+                "{\"deltas\":[1000013,2000013],\"ns\":[1014000,2014000]}",
+            ),
+            (
+                "attribution_per_shard",
+                "{\"work_us\":[1015.0,2015.0],\"barrier_wait_us\":[1017.0,2017.0],\
+                 \"barrier_arrive_us\":[1018.0,2018.0],\"barrier_depart_us\":[1019.0,2019.0],\
+                 \"mailbox_wait_us\":[1016.0,2016.0],\"upkeep_us\":[1014.0,2014.0],\
+                 \"wall_us\":[5020.0,10020.0],\"coverage\":[0.809,0.805]}",
+            ),
+            (
+                "quality_per_window",
+                "[{\"epoch\":4,\"onmi\":0.500000,\"f1\":0.250000,\"omega\":0.125000}]",
+            ),
+            (
+                "mailbox_depth",
+                "{\"count\":4,\"p50\":11,\"p99\":17,\"max\":17}",
+            ),
+            (
+                "barrier_wait_us",
+                "{\"count\":2,\"mean\":131.000,\"p50\":12.000,\"p99\":185.364}",
+            ),
+            ("query_count", "3"),
+            ("query_mean_ns", "30390"),
+            ("query_p50_ns", "1448"),
+            ("query_p90_ns", "90000"),
+            ("query_p99_ns", "90000"),
+            ("query_max_ns", "90000"),
+            ("flush_count", "2"),
+            ("flush_mean_ns", "2500"),
+            ("flush_p50_ns", "2000"),
+            ("flush_p99_ns", "2896"),
+            ("counter_mean_ns", "260333"),
+            ("counter_p50_ns", "46341"),
+            ("counter_p99_ns", "700000"),
+            ("snapshot_mean_ns", "5000000"),
+            ("snapshot_p50_ns", "5000000"),
+            ("snapshot_p99_ns", "5000000"),
+        ];
+        let entries = top_level_entries(&r.to_json());
+        let emitted: std::collections::BTreeMap<_, _> = entries.iter().cloned().collect();
+        assert_eq!(emitted.len(), entries.len(), "duplicate key in {entries:?}");
+        let expected: std::collections::BTreeMap<_, _> = expected
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        assert_eq!(emitted, expected);
+
+        let scalars = [
+            r.edits_enqueued,
+            r.edits_applied,
+            r.edits_rejected,
+            r.batches_flushed,
+            r.slots_repaired,
+            r.slot_deltas_net,
+            r.barriers,
+            r.exchange_rounds,
+            r.boundary_msgs,
+            r.boundary_hists_shipped,
+            r.boundary_hists_total,
+            r.boundary_dirty_marked,
+            r.collect_bytes,
+            r.boundary_edges_merged,
+            r.boundary_edges_total,
+            r.publish_failures,
+            r.channel_hops,
+            r.envelope_hops,
+            r.cut_edges,
+            r.boundary_vertices,
+            r.repartitions,
+            r.vertices_migrated,
+            r.hub_pulls,
+            r.damped_deferrals,
+            r.max_degree_delta,
+            r.mem_live_bytes,
+            r.mem_capacity_bytes,
+            r.mem_vertices,
+            r.trace_dropped_records,
+            r.dirty_vertices,
+            r.dirty_span,
+        ];
+        assert_eq!(scalars.to_vec(), (101..=131).collect::<Vec<u64>>());
+        let count_max = |s: LatencySummary| (s.count, s.max_ns);
+        assert_eq!(count_max(r.queries), (3, 90_000));
+        assert_eq!(count_max(r.flushes), (2, 3_000));
+        assert_eq!(count_max(r.snapshots), (1, 5_000_000));
+        assert_eq!(count_max(r.counters), (3, 700_000));
+        assert_eq!(count_max(r.mailbox_depth), (4, 17));
+        assert_eq!(count_max(r.barrier_wait), (2, 250_000));
+        assert_eq!((r.snapshots_published, r.saturated_samples), (1, 0));
+        assert_eq!(r.quality_per_window.len(), 1);
+        for (s, c) in r.shards.iter().enumerate() {
+            let base = 1_000_000 * (s as u64 + 1);
+            assert_eq!(
+                *c,
+                ShardCounts {
+                    edits_routed: base + 11,
+                    slots_repaired: base + 12,
+                    upkeep_deltas: base + 13,
+                    upkeep_ns: base + 14_000,
+                    work_ns: base + 15_000,
+                    mailbox_wait_ns: base + 16_000,
+                    barrier_wait_ns: base + 17_000,
+                    barrier_arrive_ns: base + 18_000,
+                    barrier_depart_ns: base + 19_000,
+                    wall_ns: 5 * base + 20_000,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn schema_table_documents_exactly_the_emitted_keys() {
+        let documented: Vec<&str> = SCHEMA_KEYS
+            .iter()
+            .flat_map(|row| row.iter().copied())
+            .collect();
+        let unique: std::collections::BTreeSet<&str> = documented.iter().copied().collect();
+        assert_eq!(unique.len(), documented.len(), "a key is documented twice");
+        for shards in [1, 3] {
+            let json = ServeStats::with_shards(shards).report().to_json();
+            let emitted: std::collections::BTreeSet<String> = top_level_entries(&json)
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect();
+            let documented: std::collections::BTreeSet<String> =
+                unique.iter().map(|k| k.to_string()).collect();
+            assert_eq!(emitted, documented);
+        }
     }
 
     #[test]

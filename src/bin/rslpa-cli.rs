@@ -35,63 +35,11 @@
 //! | `edits` | edit ops submitted by the replay (excluding barriers) |
 //! | `replay_secs` | wall seconds from first submit to the final barrier |
 //! | `final_epoch` | snapshot epoch the final barrier returned |
-//! | `stats` | the service's [`StatsReport`](rslpa::serve::StatsReport), below |
+//! | `stats` | the service's [`StatsReport`](rslpa::serve::StatsReport) |
 //!
-//! `stats` object, counters (all monotone totals over the service life):
-//!
-//! | field | meaning |
-//! |-------|---------|
-//! | `schema_version` | shape version of this object; 2 added `attribution_per_shard`, `trace_dropped_records`, and `saturated_samples`; 3 split barrier attribution into arrive/depart and added the publish-collect counters (`boundary_hists_*`, `collect_bytes`, `publish_failures`); 4 added the dirty-region counters (`dirty_vertices`, `dirty_span`, `dirty_fraction`) and `quality_per_window`; 5 added the hot-spot counters (`repartition_vertices_moved`, `hub_pulls`, `damped_deferrals`, `max_degree_delta`); 6 added the publish-assembly counters (`boundary_edges_merged`, `boundary_edges_total`) |
-//! | `edits_enqueued` | ops accepted into the ingestion queue |
-//! | `edits_applied` | ops that survived net-resolution and hit the graph |
-//! | `edits_rejected` | no-op ops (duplicate insert, absent delete, self-loop) |
-//! | `batches_flushed` | micro-batches flushed into the repair engine |
-//! | `snapshots_published` | epochs published (barriers + cadence) |
-//! | `slots_repaired` | label slots rewritten by Correction Propagation (Ση) |
-//! | `slot_deltas_net` | net slot changes folded into the edge-weight counters (post-compaction; ≤ `slots_repaired`) |
-//! | `barriers` | barrier commands honored |
-//! | `shards` | maintenance shard count (1 = single writer) |
-//! | `shard_edits_routed` | per-shard array: vertex deltas routed to each shard |
-//! | `shard_slots_repaired` | per-shard array: slots each shard repaired |
-//! | `upkeep_per_shard` | object: per-shard `deltas` folded / wall `ns` of shard-owned counter upkeep (zeros under the single writer, whose upkeep is central) |
-//! | `exchange_rounds` | mailbox-mesh boundary-exchange rounds (0 under the single writer) |
-//! | `boundary_msgs` | envelopes that crossed a shard boundary |
-//! | `boundary_hists_shipped` | boundary histograms actually shipped to the coordinator at publish (the dirty diff) |
-//! | `boundary_hists_total` | boundary histogram slots a full (non-incremental) collect would have shipped |
-//! | `boundary_dirty_marked` | boundary vertices dirty at ship time plus first-time ships; `boundary_hists_shipped` ≤ this always holds (the CI gate) |
-//! | `collect_bytes` | approximate bytes of interior-counter + boundary-histogram payload shipped at publish |
-//! | `boundary_edges_merged` | cut edges whose weight numerator publish assembly merged afresh from the endpoint histograms: new to the coordinator's memo, or with an endpoint re-shipped since; ≤ `boundary_edges_total` |
-//! | `boundary_edges_total` | Σ cut edges walked over all mesh publishes — what a memo-less assembly would merge (both 0 under the single writer) |
-//! | `publish_failures` | publishes abandoned because a mesh worker died or stopped responding (the previous snapshot stays served) |
-//! | `dirty_vertices` | Σ over non-empty flushes of distinct vertices whose stored labels changed (the dirty region) |
-//! | `dirty_span` | Σ over the same flushes of the vertex count at flush time; `dirty_fraction` = `dirty_vertices`/`dirty_span` (mean per-flush dirty fraction — near 1.0 means incremental repair costs as much as full recompute). At `shards > 1` it is schedule-dependent in the 4th digit: a vertex whose label changes and changes back within one flush counts as dirty or not depending on envelope arrival order; rosters and weights are unaffected |
-//! | `quality_per_window` | array of `{epoch, onmi, f1, omega}` objects recorded by a quality harness (`repro churn`) scoring each published roster against a tracked ground-truth cover; empty when the run is unscored |
-//! | `channel_hops` | channel sends spent on coordination + boundary delivery |
-//! | `envelope_hops` | Σ channels traversed by boundary envelopes (1 per envelope over the mailbox mesh, so it equals `boundary_msgs`) |
-//! | `mailbox_depth` | object: `count`/`p50`/`p99`/`max` of envelopes one shard drained per mesh round |
-//! | `barrier_wait_us` | object: `count`/`mean`/`p50`/`p99` of per-flush mesh barrier wait, microseconds |
-//! | `cut_edges` | gauge: edges whose endpoints live on different shards |
-//! | `boundary_vertices` | gauge: vertices with an off-shard neighbor |
-//! | `repartitions` | publish-time ownership re-plans performed |
-//! | `vertices_migrated` | vertex rows moved between shards by re-plans |
-//! | `repartition_vertices_moved` | alias of `vertices_migrated` under its bench-facing name (the `BENCH_churn.json` per-run field) |
-//! | `hub_pulls` | forming hubs pulled (with their spoke frontiers) into a single shard by hub-aware repartitioning |
-//! | `damped_deferrals` | label deliveries parked by degree-capped cascade damping (muted-hub re-pick reads, suppressed fetch replies, deferred cascade slots) |
-//! | `max_degree_delta` | gauge: largest per-vertex degree gain observed in the most recent repartition window |
-//! | `attribution_per_shard` | object of per-shard arrays — `work_us`, `barrier_wait_us`, `barrier_arrive_us`, `barrier_depart_us`, `mailbox_wait_us`, `upkeep_us`, `wall_us`, `coverage` — attributing each worker's wall time; `barrier_wait_us` = arrive (waiting for stragglers) + depart (release-to-resume latency); `coverage` is the accounted fraction (work + waits + upkeep over wall) |
-//! | `trace_dropped_records` | flight-recorder records overwritten before the final drain (always 0 with tracing off) |
-//! | `saturated_samples` | histogram samples that clamped into the top log₂ bucket (≥ 2⁶³), across all histograms |
-//!
-//! `stats` object, latency summaries (nanoseconds; percentiles resolve to
-//! the geometric mean of the containing log₂ bucket, clamped to the
-//! recorded min and max):
-//!
-//! | field group | meaning |
-//! |-------------|---------|
-//! | `query_count`, `query_mean_ns`, `query_p50_ns`, `query_p90_ns`, `query_p99_ns`, `query_max_ns` | read-side query latency (all query kinds pooled) |
-//! | `flush_count`, `flush_mean_ns`, `flush_p50_ns`, `flush_p99_ns` | flush latency: net-batch resolution + incremental repair |
-//! | `counter_mean_ns`, `counter_p50_ns`, `counter_p99_ns` | per-flush **central** edge-weight counter maintenance (delete retirement + slot-delta folding on the maintenance thread); zeros at `shards > 1`, where the mesh workers own upkeep and report it in `upkeep_per_shard` |
-//! | `snapshot_mean_ns`, `snapshot_p50_ns`, `snapshot_p99_ns` | snapshot publish: counter-read weight pass + thresholding + build + epoch swap |
+//! The `stats` object's keys, kinds and meanings, and its schema version
+//! history, are generated from the stats registry and listed under
+//! [`StatsReport`'s JSON schema](rslpa::serve::StatsReport#json-schema).
 
 use std::io::{BufRead, Write};
 use std::path::Path;
